@@ -1,0 +1,202 @@
+"""Pinned run fingerprints.
+
+Every optimizer on sphere, rastrigin and whitley at d = 2 and d = 20, with a
+fixed seed and budget, must reproduce these exact values: the best fitness
+and the total path distance (as ``float.hex``) and the sha256 of the fitness
+history's float64 bytes. A change that moves any float in a run shows up
+here as a failure; a deliberate drift must update the table and say so.
+
+Each case runs twice: once with the registry objective from
+``make_objective`` (population evaluation in one batched call) and once with
+the same evaluator behind a plain per-point callable (one call per row).
+Both must give the pinned values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ember import OptimizerSpec, domain_box, make_objective, run_optimizer
+
+AGENTS = 12
+ITERATIONS = 40
+SEED = 7
+
+# (algorithm, function, dimension): (best_fitness, total_distance, history sha256)
+FINGERPRINTS = {
+    ("ffo", "rastrigin", 2): (
+        "0x1.480ff925b4b60p+2",
+        "0x1.363a95b494eaap+11",
+        "28ee2bbd62bafd7f0e912e88d2e5ceb88b8ff2dbe1b184a3867c6efe4b8e0b16",
+    ),
+    ("ffo", "rastrigin", 20): (
+        "0x1.f531c2d181b18p+7",
+        "0x1.0dff50afbe2d0p+13",
+        "2cd3bd80f468e36f4623380bd9d8151ed1a2c6221184d91ccc0d562d1ef3b9d5",
+    ),
+    ("ffo", "sphere", 2): (
+        "0x1.19b8693425d8ap-4",
+        "0x1.3ef53b2507f48p+11",
+        "6f0cb5d8baf2005f6de7852cfe12417c96139a685c2c525411f9e69ff0e1a0d7",
+    ),
+    ("ffo", "sphere", 20): (
+        "0x1.3d65c09de95d5p+6",
+        "0x1.10a5a329c9addp+13",
+        "da53f96d30d1c29bd1ba9b178da3ff7e53c835bec1f6279f1fabdcb7c2a31c02",
+    ),
+    ("ffo", "whitley", 2): (
+        "0x1.b1ff7e725f61cp+2",
+        "0x1.2d8a8cdb9291ap+12",
+        "9a66628ed20d169930bc285b3eca85f4691ef01833c76915edad3d3c110b21ea",
+    ),
+    ("ffo", "whitley", 20): (
+        "0x1.d17c719757b0ep+29",
+        "0x1.06b8c7c3580ddp+14",
+        "d7d130521f66966a87c0f2bab16fcc95d0da1e6c56b70279fa29ad20afff7146",
+    ),
+    ("ga", "rastrigin", 2): (
+        "0x1.0c8147ce27d70p+0",
+        "0x1.c1b746f3da413p+8",
+        "2d7c786c8d67ea97a5db7b356b13dbf9d93316fe84e64aef3f9a4d768cca02ff",
+    ),
+    ("ga", "rastrigin", 20): (
+        "0x1.65a30fc483780p+7",
+        "0x1.f9087fd22cb21p+10",
+        "202130b9c5e23a78389246f05f7e6afd06dd2b37489fa63f2ddf218c1a72e692",
+    ),
+    ("ga", "sphere", 2): (
+        "0x1.28f756ae7f2c4p-8",
+        "0x1.0e5a3ad5becd0p+8",
+        "04f0f0d18502373a5dfc0145ad7a037606d68d8645194ee15e6d53c85f2b47e3",
+    ),
+    ("ga", "sphere", 20): (
+        "0x1.74c7417504a2bp+4",
+        "0x1.1f8b5241c5e78p+11",
+        "d1f1605469a3e6b501fb00707f550b629f1a7a6d435267d54080077d71dadf70",
+    ),
+    ("ga", "whitley", 2): (
+        "0x1.5928a248a0ecbp-1",
+        "0x1.0f5a47a61b652p+9",
+        "f1adabdfcfa046ed68a2f71ee3635de11442e66a3af1db34fb6bf88972e6639c",
+    ),
+    ("ga", "whitley", 20): (
+        "0x1.b8517e19ba166p+28",
+        "0x1.69ae4746e3d0ap+12",
+        "1b681fbef6dbbd91242dcc7c0491e42bb0e10e455369ca9c94f1b4e0af7c0414",
+    ),
+    ("hs", "rastrigin", 2): (
+        "0x1.22fa2ebef6331p+3",
+        "0x1.3783d2fbfce3bp+7",
+        "817f4d3df25dddffe0dd9e16d5481922ee4b2dd995e5796f8fa304324e27d0d6",
+    ),
+    ("hs", "rastrigin", 20): (
+        "0x1.c837d19dc1473p+7",
+        "0x1.2392abf686fc1p+9",
+        "ec42f0825f3cef7b0e3098706831751d6ff13d277c552b649610a484024cd0f6",
+    ),
+    ("hs", "sphere", 2): (
+        "0x1.336361f03832bp-2",
+        "0x1.b7dfcec36bf9ep+6",
+        "1939fb90cc71261a863b2037f9769e25572d08508557beb88f1b4062fbcfb2f5",
+    ),
+    ("hs", "sphere", 20): (
+        "0x1.0f2f3c47e6c98p+6",
+        "0x1.14cecf38c5edap+9",
+        "6741e4aeeac7987dbb88d46ff3846f4ad04c292edf2e9cb7f317799929aee09c",
+    ),
+    ("hs", "whitley", 2): (
+        "0x1.5743efcfcb2bdp+3",
+        "0x1.bfd82a7db5c28p+7",
+        "5c6d0d278c8db02d93bbe84b21f71c1935022a8fbe79288e7abbc985c9dd5bc7",
+    ),
+    ("hs", "whitley", 20): (
+        "0x1.9a4713d89f41cp+30",
+        "0x1.06cf73a30c279p+10",
+        "de662bf569de42ef8d05adbc546bc51d173aeb39aedae5bbcdc2f9a701a16537",
+    ),
+    ("pso", "rastrigin", 2): (
+        "0x1.b96a0bb6f4000p-7",
+        "0x1.9ea2b0bf418a0p+8",
+        "8f4c7b40c6e7928d433319eb41bee714c230c9577d62e4d59681c3d22012f60c",
+    ),
+    ("pso", "rastrigin", 20): (
+        "0x1.009a8dc09b730p+7",
+        "0x1.6e3ec2accc3cbp+10",
+        "b4190a48266eda3806ad029f8449e4ea334df7ccb2fa5336c2603cc5c8c2423a",
+    ),
+    ("pso", "sphere", 2): (
+        "0x1.0261bfe1df9b2p-27",
+        "0x1.0602df6a750cap+8",
+        "b5fb5f2a556f839531117038bb74c1c8d4cee1fdc54b18e5e5e500936fc12196",
+    ),
+    ("pso", "sphere", 20): (
+        "0x1.8a4ff90e5f843p+2",
+        "0x1.539ae4c2061c2p+10",
+        "3e78812a617c787f6442457a926ff464752b4c88b89db46a60095cb3727815f9",
+    ),
+    ("pso", "whitley", 2): (
+        "0x1.52e47842bff14p-2",
+        "0x1.0ff3dae308a50p+9",
+        "37090b8b3a265f095722afcd2e7843e70cad9f66211212b370cba3d64aa3a66a",
+    ),
+    ("pso", "whitley", 20): (
+        "0x1.739e8b9cf0911p+17",
+        "0x1.d62e4cd91894fp+11",
+        "6cd2bbb8ecf9d0fcec140a4a61a315c0926a12457fb1b41d787d9ff31b6f4e60",
+    ),
+    ("sa", "rastrigin", 2): (
+        "0x1.3913cfdd52bf4p+3",
+        "0x1.22ba92b19114ep+5",
+        "061a1021c3fc86d8e27714884be9b31e45d925e92a3a5d8c54c703454a5036b8",
+    ),
+    ("sa", "rastrigin", 20): (
+        "0x1.0bc0545dab500p+8",
+        "0x1.27a337b33bb01p+6",
+        "9f02703a5cf9ee785cd02daac80b5b231ccdea1ecbac95bbd0b1b094236baf00",
+    ),
+    ("sa", "sphere", 2): (
+        "0x1.3a22d863e9a4dp-3",
+        "0x1.30f84feed752ep+5",
+        "ee978fde6060fba84dd0d9c9381acdcbe1a9e8cb6399373fcfc98c7cf0e4f055",
+    ),
+    ("sa", "sphere", 20): (
+        "0x1.19df618bf2ad9p+7",
+        "0x1.d913356ac427dp+6",
+        "7c4b6af2c8753c1cfb9986ecc8d99efd379b8e9fea5efff72082d543fe68068b",
+    ),
+    ("sa", "whitley", 2): (
+        "0x1.08e7a4551b38dp+2",
+        "0x1.dc0fa00a45585p+3",
+        "b305e97d78ee84236a7f336d12288be61fdb83e9c6994791ef9d1c190608feaa",
+    ),
+    ("sa", "whitley", 20): (
+        "0x1.935f80171faa3p+30",
+        "0x1.2f64fa11666c9p+6",
+        "8f440df29a0b6a8a444a8be43f4be47326ce8165998bbe0915426f20b5c4f084",
+    ),
+}
+
+
+def _fingerprint(outcome):
+    history = np.asarray(outcome.fitness_history, dtype=float).tobytes()
+    return (
+        outcome.best_fitness.hex(),
+        outcome.total_distance.hex(),
+        hashlib.sha256(history).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("path", ["batched", "per-row"])
+@pytest.mark.parametrize("case", sorted(FINGERPRINTS), ids=lambda c: "-".join(map(str, c)))
+def test_run_fingerprint(case, path):
+    algorithm, function, dimension = case
+    objective = make_objective(function, dimension)
+    if path == "per-row":
+        evaluator = objective
+        objective = lambda x: evaluator(x)  # noqa: E731 - an unmarked callable
+    spec = OptimizerSpec(name=algorithm, max_iter=ITERATIONS, num_agents=AGENTS, seed=SEED)
+    outcome = run_optimizer(spec, objective, domain_box(function, dimension))
+    assert _fingerprint(outcome) == FINGERPRINTS[case]
