@@ -25,7 +25,7 @@ import numpy as np
 from . import ffo
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, TrajectoryTracker, evaluate_checked
+from .recording import RunOutcome, TrajectoryTracker, evaluate_checked, evaluate_rows
 
 __all__ = [
     "OptimizerSpec",
@@ -111,13 +111,6 @@ def _initial_population(rng, domain: DomainBox, size: int) -> np.ndarray:
     return rng.uniform(domain.lower, domain.upper, size=(size, domain.dimension))
 
 
-def _evaluate_rows(objective, rows) -> np.ndarray:
-    values = np.empty(len(rows))
-    for i in range(len(rows)):
-        values[i] = evaluate_checked(objective, rows[i])
-    return values
-
-
 def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     """Global-best particle swarm.
 
@@ -131,7 +124,7 @@ def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     n, d = spec.num_agents, domain.dimension
     positions = _initial_population(rng, domain, n)
     velocities = np.zeros((n, d))
-    fitness = _evaluate_rows(objective, positions)
+    fitness = evaluate_rows(objective, positions)
     personal_best = positions.copy()
     personal_fitness = fitness.copy()
     g = int(np.argmin(fitness))
@@ -149,7 +142,7 @@ def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
             + c2 * r2 * (best_agent - positions)
         )
         positions = np.clip(positions + velocities, domain.lower, domain.upper)
-        fitness = _evaluate_rows(objective, positions)
+        fitness = evaluate_rows(objective, positions)
         improved = fitness < personal_fitness
         personal_best[improved] = positions[improved]
         personal_fitness[improved] = fitness[improved]
@@ -157,8 +150,7 @@ def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
         if personal_fitness[g] < best_fitness:
             best_fitness = float(personal_fitness[g])
             best_agent = personal_best[g].copy()
-        for i in range(n):
-            tracker.append(positions[i])
+        tracker.extend(positions)
         history.append(best_fitness)
     elapsed = time.perf_counter() - start
     return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
@@ -220,7 +212,7 @@ def run_ga(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population = _initial_population(rng, domain, n)
-    fitness = _evaluate_rows(objective, population)
+    fitness = evaluate_rows(objective, population)
     g = int(np.argmin(fitness))
     best_agent = population[g].copy()
     best_fitness = float(fitness[g])
@@ -246,16 +238,14 @@ def run_ga(spec, objective, domain, record_trajectory=True) -> RunOutcome:
                     break
                 mask = rng.random(d) < params["mutation_rate"]
                 steps = rng.normal(0.0, sigma, size=d)
-                child = np.where(mask, child + steps, child)
-                next_population.append(np.clip(child, domain.lower, domain.upper))
-        population = np.array(next_population)
-        fitness = _evaluate_rows(objective, population)
+                next_population.append(np.where(mask, child + steps, child))
+        population = np.clip(np.array(next_population), domain.lower, domain.upper)
+        fitness = evaluate_rows(objective, population)
         g = int(np.argmin(fitness))
         if fitness[g] < best_fitness:
             best_fitness = float(fitness[g])
             best_agent = population[g].copy()
-        for i in range(n):
-            tracker.append(population[i])
+        tracker.extend(population)
         history.append(best_fitness)
     elapsed = time.perf_counter() - start
     return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
@@ -277,7 +267,7 @@ def run_hs(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
     memory = _initial_population(rng, domain, n)
-    fitness = _evaluate_rows(objective, memory)
+    fitness = evaluate_rows(objective, memory)
     g = int(np.argmin(fitness))
     best_agent = memory[g].copy()
     best_fitness = float(fitness[g])

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .recording import RunOutcome, TrajectoryTracker, evaluate_checked, path_length
+from .recording import RunOutcome, TrajectoryTracker, evaluate_checked, evaluate_rows, path_length
 
 __all__ = [
     "FFOConfig",
@@ -164,9 +164,7 @@ def initialize(config: FFOConfig, objective) -> FFOState:
     rng = np.random.default_rng(config.seed)
     lower, upper = config.bounds
     agents = rng.uniform(lower, upper, size=(config.num_agents, config.dimension))
-    fitness = np.empty(config.num_agents)
-    for i in range(config.num_agents):
-        fitness[i] = evaluate_checked(objective, agents[i])
+    fitness = evaluate_rows(objective, agents)
     best = int(np.argmin(fitness))
     return FFOState(
         config=config,
@@ -188,9 +186,7 @@ def evaluate_agents(state: FFOState, objective) -> np.ndarray:
     per call, regardless of population size. Ties never count as improvement.
     """
     agents = state.agents
-    fitness = np.empty(len(agents))
-    for i in range(len(agents)):
-        fitness[i] = evaluate_checked(objective, agents[i])
+    fitness = evaluate_rows(objective, agents)
     best = int(np.argmin(fitness))
     if fitness[best] < state.best_global_fitness:
         state.best_global_fitness = float(fitness[best])
@@ -240,10 +236,10 @@ def local_search(state: FFOState, agent: np.ndarray, index: int, objective) -> n
     scale = state.step_size * float(state.mutation_rates[index])
     candidates = 10 + 5 * (state.no_improve_counter // 100)
     incumbent = agent
-    incumbent_fitness = float(objective(agent))
+    incumbent_fitness = evaluate_checked(objective, agent)
     for _ in range(candidates):
         candidate = incumbent + state.rng.normal(0.0, scale, size=agent.shape[0])
-        candidate_fitness = float(objective(candidate))
+        candidate_fitness = evaluate_checked(objective, candidate)
         if candidate_fitness < incumbent_fitness or state.rng.random() < acceptance_probability(
             candidate_fitness - incumbent_fitness, temperature
         ):
@@ -266,7 +262,10 @@ def update_agents(state: FFOState, objective) -> None:
     and trajectory logging. Crossover writes both children back, and the
     partner index may equal the agent's own (a no-op, as the children of two
     identical parents are that parent). With a single coordinate there is no
-    cut point, so the crossover branch is skipped entirely.
+    cut point, so the crossover branch is skipped entirely. Each agent's
+    position is logged as it leaves its own update (a later crossover may
+    still overwrite it as a partner); the sweep reaches the tracker in one
+    call at the end.
     """
     evaluate_agents(state, objective)
     cfg = state.config
@@ -277,6 +276,7 @@ def update_agents(state: FFOState, objective) -> None:
     stagnant = state.no_improve_counter > cfg.perturbation_threshold
     if stagnant:
         intensity = perturbation_intensity(state.no_improve_counter, cfg.perturbation_threshold)
+    moved = np.empty_like(agents)
     for i in range(n_agents):
         if dimension >= 2 and rng.random() < cfg.crossover_probability:
             partner = int(rng.integers(n_agents))
@@ -288,7 +288,8 @@ def update_agents(state: FFOState, objective) -> None:
         if stagnant:
             agents[i] = apply_perturbation(state, agents[i], intensity)
         np.clip(agents[i], lower, upper, out=agents[i])
-        state.tracker.append(agents[i])
+        moved[i] = agents[i]
+    state.tracker.extend(moved)
 
 
 def cooling_schedule(state: FFOState) -> None:

@@ -2,7 +2,12 @@
 
 Twenty-four continuous test functions for minimization, each carrying its
 search domain, dimensionality class, attribute tags, and published optimum.
-Evaluators are plain numpy and accept one-dimensional float arrays.
+Evaluators are plain numpy. Each takes a float array of shape ``(..., d)``
+and reduces over the last axis: a single point of shape ``(d,)`` gives a
+scalar, a batch of shape ``(n, d)`` gives ``n`` values, each bit for bit the
+value of that row alone. Evaluators are marked
+:func:`~ember.recording.batch_capable`, so the optimizers evaluate a whole
+population in one call.
 
 Two notions of scalability coexist here and should not be confused:
 
@@ -24,12 +29,14 @@ at n > 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, InputError, UnknownFunctionError
+from .recording import batch_capable
 
 __all__ = [
     "BenchmarkFunction",
@@ -93,179 +100,237 @@ class BenchmarkFunction:
 # ---------------------------------------------------------------------------
 # evaluators
 #
-# Scalar kernels are written with numpy ufuncs so the same code serves both
-# the plain 2D call and the vectorized cyclic expansion.
+# Every evaluator takes an array of shape (..., d), reduces over the last
+# axis, and returns one value per point: a scalar for a single point, an
+# array of shape (...) for a batch. A batch gives bit for bit the values of
+# its rows evaluated one at a time.
+#
+# One numpy detail shapes the two-variable kernels: a float64 scalar raised to
+# a power goes through C ``pow``, while an array squares by exact product and
+# takes other powers from a vectorized ``pow``; the two differ in the last bit
+# for a fraction of inputs. Kernels that the one-point form evaluates on
+# scalars therefore raise to powers through ``_pow``, which keeps the scalar
+# semantics element by element.
 
 
-def _pair_easom(a, b):
-    return -np.cos(a) * np.cos(b) * np.exp(-((a - np.pi) ** 2 + (b - np.pi) ** 2))
+def _pow(base, exponent):
+    """``base ** exponent`` computed as for numpy float64 scalars, elementwise."""
+    base = np.asarray(base)
+    if base.ndim == 0:
+        return base[()] ** exponent
+    return np.array([v**exponent for v in base.ravel()]).reshape(base.shape)
 
 
-def _pair_eggholder(a, b):
+def _pair_easom(a, b, power):
+    return -np.cos(a) * np.cos(b) * np.exp(-(power(a - np.pi, 2) + power(b - np.pi, 2)))
+
+
+def _pair_eggholder(a, b, power):
     return -(b + 47.0) * np.sin(np.sqrt(np.abs(0.5 * a + b + 47.0))) - a * np.sin(
         np.sqrt(np.abs(a - (b + 47.0)))
     )
 
 
-def _pair_goldstein_price(a, b):
-    part1 = 1.0 + (a + b + 1.0) ** 2 * (
-        19.0 - 14.0 * a + 3.0 * a**2 - 14.0 * b + 6.0 * a * b + 3.0 * b**2
+def _pair_goldstein_price(a, b, power):
+    part1 = 1.0 + power(a + b + 1.0, 2) * (
+        19.0 - 14.0 * a + 3.0 * power(a, 2) - 14.0 * b + 6.0 * a * b + 3.0 * power(b, 2)
     )
-    part2 = 30.0 + (2.0 * a - 3.0 * b) ** 2 * (
-        18.0 - 32.0 * a + 12.0 * a**2 + 48.0 * b - 36.0 * a * b + 27.0 * b**2
+    part2 = 30.0 + power(2.0 * a - 3.0 * b, 2) * (
+        18.0 - 32.0 * a + 12.0 * power(a, 2) + 48.0 * b - 36.0 * a * b + 27.0 * power(b, 2)
     )
     return part1 * part2
 
 
-def _pair_schaffer_n2(a, b):
-    return 0.5 + (np.sin(a**2 - b**2) ** 2 - 0.5) / (1.0 + 0.001 * (a**2 + b**2)) ** 2
+def _pair_schaffer_n2(a, b, power):
+    return 0.5 + (power(np.sin(power(a, 2) - power(b, 2)), 2) - 0.5) / power(
+        1.0 + 0.001 * (power(a, 2) + power(b, 2)), 2
+    )
 
 
-def _pair_schaffer_f6(a, b):
-    rr = a**2 + b**2
-    return 0.5 + (np.sin(np.sqrt(rr)) ** 2 - 0.5) / (1.0 + 0.001 * rr) ** 2
+def _pair_schaffer_f6(a, b, power):
+    rr = power(a, 2) + power(b, 2)
+    return 0.5 + (power(np.sin(np.sqrt(rr)), 2) - 0.5) / power(1.0 + 0.001 * rr, 2)
 
 
 def _expand_cyclic(pair):
-    """Lift a two-variable kernel to n > 2 by summing over the cyclic pairs."""
+    """Lift a two-variable kernel to n > 2 by summing over the cyclic pairs.
 
-    def wrapped(x: np.ndarray) -> float:
-        if x.size == 2:
-            return float(pair(x[0], x[1]))
-        return float(np.sum(pair(x, np.roll(x, -1))))
+    At n = 2 the kernel sees the two coordinates as scalars (``_pow``); the
+    cyclic sum works on whole coordinate arrays (``**``).
+    """
+
+    @batch_capable
+    def wrapped(x: np.ndarray):
+        if x.shape[-1] == 2:
+            return pair(x[..., 0], x[..., 1], _pow)
+        return np.sum(pair(x, np.roll(x, -1, axis=-1), operator.pow), axis=-1)
 
     return wrapped
 
 
-def ackley(x: np.ndarray) -> float:
+@batch_capable
+def ackley(x: np.ndarray):
     """Nearly flat outer region with a central funnel; minimum 0 at the origin."""
-    n = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x**2) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+    n = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x**2, axis=-1) / n))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / n)
         + 20.0
         + np.e
     )
 
 
-def alpine(x: np.ndarray) -> float:
+@batch_capable
+def alpine(x: np.ndarray):
     """Sum of |x sin x + 0.1 x|; kinked, separable, minimum 0 at the origin."""
-    return float(np.sum(np.abs(x * np.sin(x) + 0.1 * x)))
+    return np.sum(np.abs(x * np.sin(x) + 0.1 * x), axis=-1)
 
 
-def booth(x: np.ndarray) -> float:
+@batch_capable
+def booth(x: np.ndarray):
     """Smooth quadratic valley; minimum 0 at (1, 3)."""
-    return float((x[0] + 2.0 * x[1] - 7.0) ** 2 + (2.0 * x[0] + x[1] - 5.0) ** 2)
+    a, b = x[..., 0], x[..., 1]
+    return _pow(a + 2.0 * b - 7.0, 2) + _pow(2.0 * a + b - 5.0, 2)
 
 
-def cross_in_tray(x: np.ndarray) -> float:
+@batch_capable
+def cross_in_tray(x: np.ndarray):
     """Cross-shaped ridges with four symmetric minima of -2.06261."""
-    inner = np.abs(
-        np.sin(x[0]) * np.sin(x[1]) * np.exp(np.abs(100.0 - np.hypot(x[0], x[1]) / np.pi))
-    )
-    return float(-0.0001 * (inner + 1.0) ** 0.1)
+    a, b = x[..., 0], x[..., 1]
+    inner = np.abs(np.sin(a) * np.sin(b) * np.exp(np.abs(100.0 - np.hypot(a, b) / np.pi)))
+    return -0.0001 * _pow(inner + 1.0, 0.1)
 
 
-def drop_wave(x: np.ndarray) -> float:
+@batch_capable
+def drop_wave(x: np.ndarray):
     """Radial ripples around a single global minimum of -1 at the origin."""
-    rr = x[0] ** 2 + x[1] ** 2
-    return float(-(1.0 + np.cos(12.0 * np.sqrt(rr))) / (0.5 * rr + 2.0))
+    rr = _pow(x[..., 0], 2) + _pow(x[..., 1], 2)
+    return -(1.0 + np.cos(12.0 * np.sqrt(rr))) / (0.5 * rr + 2.0)
 
 
-def griewank(x: np.ndarray) -> float:
+@batch_capable
+def griewank(x: np.ndarray):
     """Quadratic bowl modulated by an oscillatory product; minimum 0 at the origin."""
-    i = np.arange(1.0, x.size + 1.0)
-    return float(1.0 + np.sum(x**2) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))))
+    i = np.arange(1.0, x.shape[-1] + 1.0)
+    return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
 
 
-def himmelblau(x: np.ndarray) -> float:
+@batch_capable
+def himmelblau(x: np.ndarray):
     """Four distinct global minimizers, all with value 0."""
-    return float((x[0] ** 2 + x[1] - 11.0) ** 2 + (x[0] + x[1] ** 2 - 7.0) ** 2)
+    a, b = x[..., 0], x[..., 1]
+    return _pow(_pow(a, 2) + b - 11.0, 2) + _pow(a + _pow(b, 2) - 7.0, 2)
 
 
-def holder_table(x: np.ndarray) -> float:
+@batch_capable
+def holder_table(x: np.ndarray):
     """Table-shaped surface with four symmetric minima of -19.2085."""
-    return float(
-        -np.abs(
-            np.sin(x[0]) * np.cos(x[1]) * np.exp(np.abs(1.0 - np.hypot(x[0], x[1]) / np.pi))
-        )
-    )
+    a, b = x[..., 0], x[..., 1]
+    return -np.abs(np.sin(a) * np.cos(b) * np.exp(np.abs(1.0 - np.hypot(a, b) / np.pi)))
 
 
-def levy_n13(x: np.ndarray) -> float:
+@batch_capable
+def levy_n13(x: np.ndarray):
     """Oscillatory two-variable surface; minimum 0 at (1, 1)."""
-    return float(
-        np.sin(3.0 * np.pi * x[0]) ** 2
-        + (x[0] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1]) ** 2)
-        + (x[1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[1]) ** 2)
+    a, b = x[..., 0], x[..., 1]
+    return (
+        _pow(np.sin(3.0 * np.pi * a), 2)
+        + _pow(a - 1.0, 2) * (1.0 + _pow(np.sin(3.0 * np.pi * b), 2))
+        + _pow(b - 1.0, 2) * (1.0 + _pow(np.sin(2.0 * np.pi * b), 2))
     )
 
 
-def matyas(x: np.ndarray) -> float:
+@batch_capable
+def matyas(x: np.ndarray):
     """Shallow coupled quadratic; minimum 0 at the origin."""
-    return float(0.26 * (x[0] ** 2 + x[1] ** 2) - 0.48 * x[0] * x[1])
+    a, b = x[..., 0], x[..., 1]
+    return 0.26 * (_pow(a, 2) + _pow(b, 2)) - 0.48 * a * b
 
 
-def michalewicz(x: np.ndarray) -> float:
+@batch_capable
+def michalewicz(x: np.ndarray):
     """Steep separable valleys (steepness m = 10); minima depend on dimension."""
-    i = np.arange(1.0, x.size + 1.0)
-    return float(-np.sum(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20))
+    i = np.arange(1.0, x.shape[-1] + 1.0)
+    return -np.sum(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20, axis=-1)
 
 
-def rastrigin(x: np.ndarray) -> float:
+@batch_capable
+def rastrigin(x: np.ndarray):
     """Regular lattice of local minima on a quadratic bowl; minimum 0 at the origin."""
-    return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
-def rosenbrock(x: np.ndarray) -> float:
+@batch_capable
+def rosenbrock(x: np.ndarray):
     """Curved narrow valley; minimum 0 at the all-ones point."""
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-def schwefel(x: np.ndarray) -> float:
+@batch_capable
+def schwefel(x: np.ndarray):
     """Deep deceptive wells far from the origin; minimum near 420.9687 per coordinate."""
-    return float(418.9829 * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
-def sphere(x: np.ndarray) -> float:
+@batch_capable
+def sphere(x: np.ndarray):
     """Plain quadratic bowl; minimum 0 at the origin."""
-    return float(np.sum(x**2))
+    return np.sum(x**2, axis=-1)
 
 
-def styblinski_tang(x: np.ndarray) -> float:
+@batch_capable
+def styblinski_tang(x: np.ndarray):
     """Separable quartic with one global well per coordinate; -39.16599 per coordinate."""
-    return float(0.5 * np.sum(x**4 - 16.0 * x**2 + 5.0 * x))
+    return 0.5 * np.sum(x**4 - 16.0 * x**2 + 5.0 * x, axis=-1)
 
 
-def three_hump_camel(x: np.ndarray) -> float:
+@batch_capable
+def three_hump_camel(x: np.ndarray):
     """Three local minima; global minimum 0 at the origin."""
-    return float(
-        2.0 * x[0] ** 2
-        - 1.05 * x[0] ** 4
-        + x[0] ** 6 / 6.0
-        + x[0] * x[1]
-        + x[1] ** 2
-    )
+    a, b = x[..., 0], x[..., 1]
+    return 2.0 * _pow(a, 2) - 1.05 * _pow(a, 4) + _pow(a, 6) / 6.0 + a * b + _pow(b, 2)
 
 
-def whitley(x: np.ndarray) -> float:
+# Largest (d, d) temporary whitley builds per block of rows: the size of one
+# point at d = 50. Bigger blocks run no faster (the cosine dominates) and
+# only raise peak memory.
+_WHITLEY_BLOCK = 2500
+
+
+def _whitley(x: np.ndarray):
+    xi2 = x**2
+    ridge = (xi2[..., :, None] - x[..., None, :]) ** 2
+    tail = (1.0 - x[..., None, :]) ** 2
+    y = 100.0 * ridge + tail
+    return np.sum(y**2 / 4000.0 - np.cos(200.0 * ridge + tail) + 1.0, axis=(-2, -1))
+
+
+@batch_capable
+def whitley(x: np.ndarray):
     """Composition of Rosenbrock ridges through a Griewank-style envelope.
 
     Minimum 0 at the all-ones point. The cosine term uses a 200 scale on the
-    squared ridge, the quartic term the usual 100 scale.
+    squared ridge, the quartic term the usual 100 scale. A batch is evaluated
+    in blocks of rows so that the (d, d) temporaries stay small.
     """
-    xi2 = x**2
-    ridge = (xi2[:, None] - x[None, :]) ** 2
-    tail = (1.0 - x[None, :]) ** 2
-    y = 100.0 * ridge + tail
-    return float(np.sum(y**2 / 4000.0 - np.cos(200.0 * ridge + tail) + 1.0))
+    if x.ndim == 1:
+        return _whitley(x)
+    d = x.shape[-1]
+    rows = x.reshape(-1, d)
+    values = np.empty(len(rows))
+    step = max(1, _WHITLEY_BLOCK // (d * d))
+    for start in range(0, len(rows), step):
+        values[start : start + step] = _whitley(rows[start : start + step])
+    return values.reshape(x.shape[:-1])
 
 
-def zakharov(x: np.ndarray) -> float:
+@batch_capable
+def zakharov(x: np.ndarray):
     """Quadratic bowl plus even powers of a weighted sum; minimum 0 at the origin."""
-    i = np.arange(1.0, x.size + 1.0)
-    s = float(np.sum(0.5 * i * x))
-    return float(np.sum(x**2) + s**2 + s**4)
+    i = np.arange(1.0, x.shape[-1] + 1.0)
+    s = np.sum(0.5 * i * x, axis=-1)
+    return np.sum(x**2, axis=-1) + _pow(s, 2) + _pow(s, 4)
 
 
 easom_nd = _expand_cyclic(_pair_easom)
@@ -566,6 +631,7 @@ def make_objective(name: str, dimension: int) -> Callable[[np.ndarray], float]:
     """Dimension-checked bare evaluator for hot loops.
 
     Validation happens once here; the returned callable skips per-call checks.
+    It is batch-capable: it accepts one point or an ``(n, d)`` array of points.
     """
     fn = get_function(name)
     _check_dimension(fn, dimension)

@@ -253,6 +253,7 @@ def _execute_cell(cell: _Cell) -> RunRecord:
             seed=cell.derived_seed,
         )
         outcome = run_optimizer(spec, objective, domain, record_trajectory=cell.record_trajectory)
+        speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     except Exception as exc:  # a failing cell must not abort the grid
         record.status = "error"
         record.message = f"{type(exc).__name__}: {exc}"
@@ -260,9 +261,7 @@ def _execute_cell(cell: _Cell) -> RunRecord:
     record.best_fitness = outcome.best_fitness
     record.execution_time = outcome.execution_time
     record.total_distance = outcome.total_distance
-    record.distance_per_unit_time = distance_per_unit_time(
-        outcome.total_distance, outcome.execution_time
-    )
+    record.distance_per_unit_time = speed
     record.iterations_run = outcome.iterations_run
     if cell.collect_history:
         record.history = list(outcome.fitness_history)

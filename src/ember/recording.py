@@ -11,6 +11,25 @@ import numpy as np
 from .errors import EvaluationError
 
 
+def batch_capable(fn):
+    """Mark ``fn`` as accepting a batch of points.
+
+    A marked callable takes an ``(n, d)`` array and returns its ``n`` values,
+    each bit for bit what the callable gives for that row alone.
+    :func:`evaluate_rows` hands a marked objective the whole batch in one call.
+    """
+    fn.batch_capable = True
+    return fn
+
+
+def _non_finite(point, value) -> EvaluationError:
+    return EvaluationError(
+        f"objective returned non-finite value {value!r}",
+        agent=np.array(point, copy=True),
+        value=value,
+    )
+
+
 def evaluate_checked(objective, point) -> float:
     """Call the objective and reject non-finite results.
 
@@ -19,12 +38,32 @@ def evaluate_checked(objective, point) -> float:
     """
     value = float(objective(point))
     if not math.isfinite(value):
-        raise EvaluationError(
-            f"objective returned non-finite value {value!r}",
-            agent=np.array(point, copy=True),
-            value=value,
-        )
+        raise _non_finite(point, value)
     return value
+
+
+def evaluate_rows(objective, rows) -> np.ndarray:
+    """Evaluate every row of ``rows`` and reject non-finite results.
+
+    A :func:`batch_capable` objective gets one call with the whole array; any
+    other callable gets one :func:`evaluate_checked` call per row. Either way
+    the first non-finite row in index order raises :class:`EvaluationError`.
+    """
+    if not getattr(objective, "batch_capable", False):
+        values = np.empty(len(rows))
+        for i in range(len(rows)):
+            values[i] = evaluate_checked(objective, rows[i])
+        return values
+    values = np.asarray(objective(rows), dtype=float)
+    if values.shape != (len(rows),):
+        raise EvaluationError(
+            f"batched objective returned shape {values.shape} for {len(rows)} rows"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise _non_finite(rows[first], float(values[first]))
+    return values
 
 
 class TrajectoryTracker:
@@ -51,6 +90,24 @@ class TrajectoryTracker:
         self._prev = point
         if self.record:
             self.positions.append(point)
+
+    def extend(self, rows) -> None:
+        """Append the rows of a 2-D array in order; same result as one append each."""
+        points = np.array(rows, dtype=float, copy=True)
+        if len(points) == 0:
+            return
+        if self._prev is None:
+            steps = np.diff(points, axis=0)
+        else:
+            steps = np.diff(points, axis=0, prepend=self._prev[None])
+        # Summed one step at a time, in append order, exactly as append() does.
+        total = self.total
+        for length in np.sqrt(np.vecdot(steps, steps)).tolist():
+            total += length
+        self.total = total
+        self._prev = points[-1]
+        if self.record:
+            self.positions.extend(points)
 
     def __len__(self) -> int:
         return len(self.positions)

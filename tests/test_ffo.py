@@ -365,3 +365,21 @@ def test_non_finite_objective_raises_evaluation_error():
     with pytest.raises(EvaluationError) as exc:
         ffo.run(small_config(max_iter=100, num_agents=20), explodes_later)
     assert exc.value.agent is not None
+
+
+def test_non_finite_local_search_candidate_raises_evaluation_error():
+    # Population rows are clipped into the box and stay finite; only the
+    # unclipped local-search candidates can leave it and hit the NaN.
+    cfg = small_config(bounds=(-1.0, 1.0), mutation_probability=1.0, crossover_probability=0.0)
+
+    def nan_outside_box(x):
+        if np.any(np.abs(x) > 1.0):
+            return float("nan")
+        return sphere(x)
+
+    state = initialize(cfg, nan_outside_box)
+    evaluate_agents(state, nan_outside_box)  # every population row is finite
+    with pytest.raises(EvaluationError) as exc:
+        ffo.run(cfg, nan_outside_box)
+    assert np.any(np.abs(exc.value.agent) > 1.0)
+    assert math.isnan(exc.value.value)

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ember.errors import DimensionError, InputError, UnknownFunctionError
 from ember.functions import (
@@ -330,6 +333,39 @@ def test_styblinski_tolerance_scales_with_dimension():
     fn = get_function("styblinski_tang")
     assert fn.tolerance_per_coordinate
     assert fn.tolerance_at(50) == pytest.approx(50 * fn.tolerance)
+
+
+# ---------------------------------------------------------------------------
+# batch contract: evaluator(X) equals [evaluator(x) for x in X] bit for bit
+
+BATCH_CASES = [
+    (fn.name, d) for fn in list_functions() for d in (2, 3, 20, 50) if fn.accepts_dimension(d)
+]
+
+
+@pytest.mark.parametrize("name, dimension", BATCH_CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batch_equals_row_by_row(name, dimension, data):
+    fn = get_function(name)
+    lower, upper = fn.domain
+    # a few hypothesis-chosen rows (edges, repeats, signed zeros) on top of a
+    # large uniform sample: a last-bit mismatch hits well under 1 % of points
+    n = data.draw(st.integers(1, 6), label="rows")
+    chosen = data.draw(
+        arrays(np.float64, (n, dimension), elements=st.floats(lower, upper)), label="points"
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sample = rng.uniform(lower, upper, size=(max(8, 1000 // dimension), dimension))
+    points = np.vstack([chosen, sample])
+    one_by_one = np.array([fn.evaluator(x) for x in points])
+    batch = fn.evaluator(points)
+    assert batch.shape == (len(points),)
+    assert batch.tobytes() == one_by_one.tobytes()
+    assert fn.evaluator(points[:1]).tobytes() == one_by_one[:1].tobytes()
+    stacked = fn.evaluator(chosen[None])  # any leading shape (..., d)
+    assert stacked.shape == (1, n)
+    assert stacked.tobytes() == one_by_one[:n].tobytes()
 
 
 # ---------------------------------------------------------------------------

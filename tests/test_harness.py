@@ -235,6 +235,25 @@ def test_failing_cell_is_recorded_and_grid_continues():
     assert records[1].status == "ok"
 
 
+def test_undefined_distance_rate_fails_only_its_cell():
+    def instant(spec, objective, domain, record_trajectory=True):
+        return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
+
+    register_optimizer("instant", instant, {})
+    try:
+        grid = ExperimentGrid(algorithms=("instant", "pso"), functions=("sphere",),
+                              dimensions=(2,), agent_counts=(5,),
+                              iteration_counts=(10,), seeds=(0,))
+        records = run_grid(grid)
+    finally:
+        del baselines._OPTIMIZERS["instant"]
+        del PARAM_DEFAULTS["instant"]
+    assert records[0].status == "error"
+    assert records[0].message.startswith("MetricError: execution time must be positive")
+    assert records[0].best_fitness is None
+    assert records[1].status == "ok"
+
+
 # ---------------------------------------------------------------------------
 # metrics and aggregation
 
