@@ -108,17 +108,25 @@ class BenchmarkFunction:
 # One numpy detail shapes the two-variable kernels: a float64 scalar raised to
 # a power goes through C ``pow``, while an array squares by exact product and
 # takes other powers from a vectorized ``pow``; the two differ in the last bit
-# for a fraction of inputs. Kernels that the one-point form evaluates on
-# scalars therefore raise to powers through ``_pow``, which keeps the scalar
-# semantics element by element.
+# for a fraction of inputs. Formulas that a single point evaluates on scalars
+# therefore take their ``power`` from ``_split``: plain ``**`` for a point,
+# ``_pow`` (scalar semantics element by element) for a batch.
 
 
-def _pow(base, exponent):
-    """``base ** exponent`` computed as for numpy float64 scalars, elementwise."""
-    base = np.asarray(base)
-    if base.ndim == 0:
-        return base[()] ** exponent
+def _pow(base: np.ndarray, exponent):
+    """``base ** exponent`` computed element by element as for numpy float64 scalars."""
     return np.array([v**exponent for v in base.ravel()]).reshape(base.shape)
+
+
+def _split(x: np.ndarray):
+    """The two coordinates of a point or batch, and the power that matches them.
+
+    One point gives numpy scalars, whose ``**`` is already C ``pow``; a batch
+    gives coordinate arrays, raised through :func:`_pow`.
+    """
+    if x.ndim == 1:
+        return x[0], x[1], operator.pow
+    return x[..., 0], x[..., 1], _pow
 
 
 def _pair_easom(a, b, power):
@@ -155,14 +163,14 @@ def _pair_schaffer_f6(a, b, power):
 def _expand_cyclic(pair):
     """Lift a two-variable kernel to n > 2 by summing over the cyclic pairs.
 
-    At n = 2 the kernel sees the two coordinates as scalars (``_pow``); the
-    cyclic sum works on whole coordinate arrays (``**``).
+    At n = 2 the kernel sees the two coordinates as a plain pair (``_split``);
+    the cyclic sum works on whole coordinate arrays, with array ``**``.
     """
 
     @batch_capable
     def wrapped(x: np.ndarray):
         if x.shape[-1] == 2:
-            return pair(x[..., 0], x[..., 1], _pow)
+            return pair(*_split(x))
         return np.sum(pair(x, np.roll(x, -1, axis=-1), operator.pow), axis=-1)
 
     return wrapped
@@ -189,22 +197,23 @@ def alpine(x: np.ndarray):
 @batch_capable
 def booth(x: np.ndarray):
     """Smooth quadratic valley; minimum 0 at (1, 3)."""
-    a, b = x[..., 0], x[..., 1]
-    return _pow(a + 2.0 * b - 7.0, 2) + _pow(2.0 * a + b - 5.0, 2)
+    a, b, power = _split(x)
+    return power(a + 2.0 * b - 7.0, 2) + power(2.0 * a + b - 5.0, 2)
 
 
 @batch_capable
 def cross_in_tray(x: np.ndarray):
     """Cross-shaped ridges with four symmetric minima of -2.06261."""
-    a, b = x[..., 0], x[..., 1]
+    a, b, power = _split(x)
     inner = np.abs(np.sin(a) * np.sin(b) * np.exp(np.abs(100.0 - np.hypot(a, b) / np.pi)))
-    return -0.0001 * _pow(inner + 1.0, 0.1)
+    return -0.0001 * power(inner + 1.0, 0.1)
 
 
 @batch_capable
 def drop_wave(x: np.ndarray):
     """Radial ripples around a single global minimum of -1 at the origin."""
-    rr = _pow(x[..., 0], 2) + _pow(x[..., 1], 2)
+    a, b, power = _split(x)
+    rr = power(a, 2) + power(b, 2)
     return -(1.0 + np.cos(12.0 * np.sqrt(rr))) / (0.5 * rr + 2.0)
 
 
@@ -218,33 +227,33 @@ def griewank(x: np.ndarray):
 @batch_capable
 def himmelblau(x: np.ndarray):
     """Four distinct global minimizers, all with value 0."""
-    a, b = x[..., 0], x[..., 1]
-    return _pow(_pow(a, 2) + b - 11.0, 2) + _pow(a + _pow(b, 2) - 7.0, 2)
+    a, b, power = _split(x)
+    return power(power(a, 2) + b - 11.0, 2) + power(a + power(b, 2) - 7.0, 2)
 
 
 @batch_capable
 def holder_table(x: np.ndarray):
     """Table-shaped surface with four symmetric minima of -19.2085."""
-    a, b = x[..., 0], x[..., 1]
+    a, b, power = _split(x)
     return -np.abs(np.sin(a) * np.cos(b) * np.exp(np.abs(1.0 - np.hypot(a, b) / np.pi)))
 
 
 @batch_capable
 def levy_n13(x: np.ndarray):
     """Oscillatory two-variable surface; minimum 0 at (1, 1)."""
-    a, b = x[..., 0], x[..., 1]
+    a, b, power = _split(x)
     return (
-        _pow(np.sin(3.0 * np.pi * a), 2)
-        + _pow(a - 1.0, 2) * (1.0 + _pow(np.sin(3.0 * np.pi * b), 2))
-        + _pow(b - 1.0, 2) * (1.0 + _pow(np.sin(2.0 * np.pi * b), 2))
+        power(np.sin(3.0 * np.pi * a), 2)
+        + power(a - 1.0, 2) * (1.0 + power(np.sin(3.0 * np.pi * b), 2))
+        + power(b - 1.0, 2) * (1.0 + power(np.sin(2.0 * np.pi * b), 2))
     )
 
 
 @batch_capable
 def matyas(x: np.ndarray):
     """Shallow coupled quadratic; minimum 0 at the origin."""
-    a, b = x[..., 0], x[..., 1]
-    return 0.26 * (_pow(a, 2) + _pow(b, 2)) - 0.48 * a * b
+    a, b, power = _split(x)
+    return 0.26 * (power(a, 2) + power(b, 2)) - 0.48 * a * b
 
 
 @batch_capable
@@ -288,8 +297,8 @@ def styblinski_tang(x: np.ndarray):
 @batch_capable
 def three_hump_camel(x: np.ndarray):
     """Three local minima; global minimum 0 at the origin."""
-    a, b = x[..., 0], x[..., 1]
-    return 2.0 * _pow(a, 2) - 1.05 * _pow(a, 4) + _pow(a, 6) / 6.0 + a * b + _pow(b, 2)
+    a, b, power = _split(x)
+    return 2.0 * power(a, 2) - 1.05 * power(a, 4) + power(a, 6) / 6.0 + a * b + power(b, 2)
 
 
 # Largest (d, d) temporary whitley builds per block of rows: the size of one
@@ -330,7 +339,8 @@ def zakharov(x: np.ndarray):
     """Quadratic bowl plus even powers of a weighted sum; minimum 0 at the origin."""
     i = np.arange(1.0, x.shape[-1] + 1.0)
     s = np.sum(0.5 * i * x, axis=-1)
-    return np.sum(x**2, axis=-1) + _pow(s, 2) + _pow(s, 4)
+    power = operator.pow if x.ndim == 1 else _pow  # s is a scalar for one point
+    return np.sum(x**2, axis=-1) + power(s, 2) + power(s, 4)
 
 
 easom_nd = _expand_cyclic(_pair_easom)
