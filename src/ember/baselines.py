@@ -6,9 +6,11 @@ genetic algorithm, harmony search) plus the FFO adapter, all runnable through
 
 * draws all randomness from one generator seeded by the spec,
 * keeps every reported position inside the domain box,
-* appends a best-so-far value to the history after each iteration,
-* logs moved positions to a trajectory tracker for the distance metric,
-* returns a :class:`~ember.recording.RunOutcome`.
+* is a step generator run by :func:`~ember.recording.driven`, which times
+  it, keeps its history and path length, and returns a
+  :class:`~ember.recording.RunOutcome`.
+
+:func:`resolve_params` checks parameter values for the runners and the grid.
 
 Parameter defaults follow the usual literature settings; anything not pinned
 by convention (proposal widths, mutation scale) is expressed as a fraction of
@@ -17,21 +19,22 @@ the domain width and exposed as a named parameter.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import ffo
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, TrajectoryTracker, evaluate_checked, evaluate_rows
+from .recording import RunOutcome, driven, evaluate_checked, evaluate_rows
 
 __all__ = [
     "OptimizerSpec",
     "PARAM_DEFAULTS",
     "optimizer_names",
     "register_optimizer",
+    "resolve_params",
     "run_ga",
     "run_hs",
     "run_optimizer",
@@ -61,15 +64,9 @@ class OptimizerSpec:
 
 PARAM_DEFAULTS: dict[str, dict] = {
     "ffo": {
-        "step_size": 1.0,
-        "crossover_probability": 0.5,
-        "mutation_probability": 0.1,
-        "initial_temp": 100.0,
-        "cooling_rate": 0.95,
-        "no_improve_limit": 30,
-        "use_additional_conditions": False,
-        "target_fitness": 1e-5,
-        "perturbation_threshold": 50,
+        f.name: f.default
+        for f in fields(ffo.FFOConfig)
+        if f.name not in {"dimension", "num_agents", "max_iter", "bounds", "seed"}
     },
     "pso": {
         "inertia": 0.7,
@@ -96,29 +93,56 @@ PARAM_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _resolve_params(spec: OptimizerSpec, name: str) -> dict:
+# The smallest value each parameter can run with; GA's elitism is also capped
+# by the population, and FFOConfig checks FFO's parameters itself.
+_MINIMA = {
+    "sa": {"proposal_scale": 0},
+    "ga": {"tournament_size": 1, "elitism": 0, "mutation_scale": 0},
+}
+
+
+def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
+    """Optimizer ``name``'s parameters: its defaults updated with ``overrides``.
+
+    Raises :class:`ConfigError` for an unknown key or a value the optimizer
+    cannot run with; the message starts with the offending key.
+    """
     defaults = PARAM_DEFAULTS[name]
-    unknown = sorted(set(spec.params) - set(defaults))
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(
-            f"unknown parameter(s) for optimizer {name!r}: {', '.join(unknown)}; "
+            f"{unknown[0]}: unknown parameter for optimizer {name!r}; "
             f"valid: {', '.join(sorted(defaults))}"
         )
-    return {**defaults, **spec.params}
+    for key, value in overrides.items():
+        if isinstance(defaults[key], numbers.Real) and not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+    params = {**defaults, **overrides}
+    for key, low in _MINIMA.get(name, {}).items():
+        if not params[key] >= low:
+            raise ConfigError(f"{key} must be >= {low}, got {params[key]!r}")
+    if name == "ga" and params["elitism"] > num_agents:
+        raise ConfigError(
+            f"elitism must be <= num_agents ({num_agents}), got {params['elitism']!r}"
+        )
+    if name == "ffo":
+        ffo.FFOConfig(dimension=1, num_agents=num_agents, **params)
+    return params
 
 
 def _initial_population(rng, domain: DomainBox, size: int) -> np.ndarray:
     return rng.uniform(domain.lower, domain.upper, size=(size, domain.dimension))
 
 
-def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
+@driven
+def run_pso(spec, objective, domain):
     """Global-best particle swarm.
 
     Velocities start at zero and blend inertia with per-coordinate cognitive
     and social pulls toward the personal and global bests. Positions are
     clipped to the domain each move.
     """
-    params = _resolve_params(spec, "pso")
+    params = resolve_params("pso", spec.params, spec.num_agents)
     w, c1, c2 = params["inertia"], params["cognitive"], params["social"]
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
@@ -130,9 +154,7 @@ def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     g = int(np.argmin(fitness))
     best_agent = positions[g].copy()
     best_fitness = float(fitness[g])
-    tracker = TrajectoryTracker(record=record_trajectory)
-    history: list[float] = []
-    start = time.perf_counter()
+    yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         r1 = rng.random((n, d))
         r2 = rng.random((n, d))
@@ -150,20 +172,19 @@ def run_pso(spec, objective, domain, record_trajectory=True) -> RunOutcome:
         if personal_fitness[g] < best_fitness:
             best_fitness = float(personal_fitness[g])
             best_agent = personal_best[g].copy()
-        tracker.extend(positions)
-        history.append(best_fitness)
-    elapsed = time.perf_counter() - start
-    return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
+        yield positions, best_agent, best_fitness
+    return spec.max_iter
 
 
-def run_sa(spec, objective, domain, record_trajectory=True) -> RunOutcome:
+@driven
+def run_sa(spec, objective, domain):
     """Single-solution simulated annealing with geometric cooling.
 
     Gaussian proposals (sigma = proposal_scale * domain width) are clipped to
     the domain; downhill moves are always taken, uphill ones with probability
     exp(-dE/T). The temperature cools by the same factor every iteration.
     """
-    params = _resolve_params(spec, "sa")
+    params = resolve_params("sa", spec.params, spec.num_agents)
     rng = np.random.default_rng(spec.seed)
     d = domain.dimension
     sigma = params["proposal_scale"] * (domain.upper - domain.lower)
@@ -172,9 +193,7 @@ def run_sa(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     current_fitness = evaluate_checked(objective, current)
     best_agent = current.copy()
     best_fitness = current_fitness
-    tracker = TrajectoryTracker(record=record_trajectory)
-    history: list[float] = []
-    start = time.perf_counter()
+    yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         candidate = np.clip(
             current + rng.normal(0.0, sigma, size=d), domain.lower, domain.upper
@@ -188,26 +207,21 @@ def run_sa(spec, objective, domain, record_trajectory=True) -> RunOutcome:
             best_fitness = current_fitness
             best_agent = current.copy()
         temperature *= params["cooling_rate"]
-        tracker.append(current)
-        history.append(best_fitness)
-    elapsed = time.perf_counter() - start
-    return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
+        yield current, best_agent, best_fitness
+    return spec.max_iter
 
 
-def run_ga(spec, objective, domain, record_trajectory=True) -> RunOutcome:
+@driven
+def run_ga(spec, objective, domain):
     """Generational real-coded genetic algorithm.
 
     Tournament selection, one-point crossover, per-gene Gaussian mutation
     (sigma = mutation_scale * domain width), and elitism. Offspring are
     clipped to the domain.
     """
-    params = _resolve_params(spec, "ga")
+    params = resolve_params("ga", spec.params, spec.num_agents)
     tournament = int(params["tournament_size"])
     elitism = int(params["elitism"])
-    if tournament < 1:
-        raise ConfigError(f"tournament_size must be >= 1, got {tournament}")
-    if not 0 <= elitism <= spec.num_agents:
-        raise ConfigError(f"elitism must lie in [0, num_agents], got {elitism}")
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
@@ -216,15 +230,13 @@ def run_ga(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     g = int(np.argmin(fitness))
     best_agent = population[g].copy()
     best_fitness = float(fitness[g])
-    tracker = TrajectoryTracker(record=record_trajectory)
-    history: list[float] = []
 
     def select() -> np.ndarray:
         contenders = rng.integers(n, size=tournament)
         winner = contenders[int(np.argmin(fitness[contenders]))]
         return population[winner]
 
-    start = time.perf_counter()
+    yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         elite_order = np.argsort(fitness, kind="stable")[:elitism]
         next_population = [population[i].copy() for i in elite_order]
@@ -245,13 +257,12 @@ def run_ga(spec, objective, domain, record_trajectory=True) -> RunOutcome:
         if fitness[g] < best_fitness:
             best_fitness = float(fitness[g])
             best_agent = population[g].copy()
-        tracker.extend(population)
-        history.append(best_fitness)
-    elapsed = time.perf_counter() - start
-    return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
+        yield population, best_agent, best_fitness
+    return spec.max_iter
 
 
-def run_hs(spec, objective, domain, record_trajectory=True) -> RunOutcome:
+@driven
+def run_hs(spec, objective, domain):
     """Harmony search over a fixed-size memory of candidate solutions.
 
     Each iteration improvises one new harmony: every coordinate is drawn from
@@ -260,7 +271,7 @@ def run_hs(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     sampled uniformly from the domain. The new harmony replaces the worst
     memory entry when it improves on it.
     """
-    params = _resolve_params(spec, "hs")
+    params = resolve_params("hs", spec.params, spec.num_agents)
     hmcr = params["memory_consideration_rate"]
     par = params["pitch_adjustment_rate"]
     rng = np.random.default_rng(spec.seed)
@@ -271,9 +282,7 @@ def run_hs(spec, objective, domain, record_trajectory=True) -> RunOutcome:
     g = int(np.argmin(fitness))
     best_agent = memory[g].copy()
     best_fitness = float(fitness[g])
-    tracker = TrajectoryTracker(record=record_trajectory)
-    history: list[float] = []
-    start = time.perf_counter()
+    yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         harmony = np.empty(d)
         for j in range(d):
@@ -292,14 +301,12 @@ def run_hs(spec, objective, domain, record_trajectory=True) -> RunOutcome:
         if value < best_fitness:
             best_fitness = value
             best_agent = harmony.copy()
-        tracker.append(harmony)
-        history.append(best_fitness)
-    elapsed = time.perf_counter() - start
-    return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, spec.max_iter)
+        yield harmony, best_agent, best_fitness
+    return spec.max_iter
 
 
-def _run_ffo(spec, objective, domain, record_trajectory=True) -> RunOutcome:
-    params = _resolve_params(spec, "ffo")
+def _run_ffo(spec, objective, domain) -> RunOutcome:
+    params = resolve_params("ffo", spec.params, spec.num_agents)
     if spec.max_iter < 1:
         raise ConfigError("ffo needs max_iter >= 1 (its iteration counter is 1-based)")
     config = ffo.FFOConfig(
@@ -308,7 +315,6 @@ def _run_ffo(spec, objective, domain, record_trajectory=True) -> RunOutcome:
         max_iter=spec.max_iter,
         bounds=(domain.lower, domain.upper),
         seed=spec.seed,
-        record_trajectory=record_trajectory,
         **params,
     )
     return ffo.run(config, objective)
@@ -330,14 +336,14 @@ def optimizer_names() -> list[str]:
 def register_optimizer(name: str, runner, defaults: dict | None = None) -> None:
     """Add an optimizer to the dispatch table.
 
-    ``runner`` must accept (spec, objective, domain, record_trajectory) and
-    return a RunOutcome. ``defaults`` declares its valid parameters.
+    ``runner`` must accept (spec, objective, domain) and return a RunOutcome.
+    ``defaults`` declares its valid parameters.
     """
     _OPTIMIZERS[name] = runner
     PARAM_DEFAULTS.setdefault(name, dict(defaults or {}))
 
 
-def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox, record_trajectory=True) -> RunOutcome:
+def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox) -> RunOutcome:
     """Dispatch a run to the optimizer named by the spec."""
     try:
         runner = _OPTIMIZERS[spec.name]
@@ -345,4 +351,4 @@ def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox, record_traj
         raise ConfigError(
             f"unknown optimizer {spec.name!r}; available: {', '.join(optimizer_names())}"
         ) from None
-    return runner(spec, objective, domain, record_trajectory)
+    return runner(spec, objective, domain)

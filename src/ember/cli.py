@@ -15,7 +15,6 @@ any grid config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,6 +31,7 @@ from .harness import (
     rank_top3,
     run_grid,
     summarize,
+    write_history,
     write_summary_csv,
 )
 
@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     run_p.add_argument("--conditions", choices=("on", "off"), default=None,
                        help="FFO early-termination conditions (default off)")
-    run_p.add_argument("--no-trajectory", action="store_true",
-                       help="do not store visited positions (the streaming "
-                            "distance total is kept either way)")
     run_p.add_argument("--out", default=None,
                        help="write the best-so-far history to this CSV file")
 
@@ -97,8 +94,7 @@ def cmd_run(args) -> int:
     )
     objective = make_objective(args.fn, args.dim)
     domain = domain_box(args.fn, args.dim)
-    outcome = run_optimizer(spec, objective, domain,
-                            record_trajectory=not args.no_trajectory)
+    outcome = run_optimizer(spec, objective, domain)
     if outcome.execution_time > 0:
         dput = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     else:
@@ -114,14 +110,7 @@ def cmd_run(args) -> int:
     print(f"total_distance: {outcome.total_distance}")
     print(f"distance_per_unit_time: {dput}")
     if args.out is not None:
-        path = Path(args.out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("iteration", "best_fitness"))
-            for i, value in enumerate(outcome.fitness_history, start=1):
-                writer.writerow((i, str(value)))
+        path = write_history(outcome.fitness_history, args.out)
         print(f"history: {path}")
     return EXIT_OK
 

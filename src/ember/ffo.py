@@ -6,7 +6,8 @@ whole population is evaluated first (updating the global best and a shared
 stagnation counter), then every agent in index order may recombine with a
 uniformly chosen partner, may be refined by a temperature-gated local search,
 and is pulled toward the global best once stagnation persists. Positions are
-clipped to the domain after each agent update and logged to the trajectory.
+clipped to the domain after each agent update; :func:`update_agents` returns
+them, in sweep order, for the trajectory's path length.
 
 Randomness comes from one seeded generator per run. Draws occur in a fixed,
 documented order so identical configurations replay identically: population
@@ -23,13 +24,12 @@ entries; ``RunOutcome.iterations_run`` reports the counter's final value.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .recording import RunOutcome, TrajectoryTracker, evaluate_checked, evaluate_rows, path_length
+from .recording import driven, evaluate_checked, evaluate_rows
 
 __all__ = [
     "FFOConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "perturbation_intensity",
     "run",
     "should_terminate",
-    "total_distance",
     "update_agents",
 ]
 
@@ -67,7 +66,6 @@ class FFOConfig:
     use_additional_conditions: bool = False
     target_fitness: float = 1e-5
     perturbation_threshold: int = 50
-    record_trajectory: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -115,18 +113,6 @@ class FFOState:
     mutation_rates: np.ndarray
     no_improve_counter: int = 0
     iteration: int = 1
-    fitness_history: list[float] = field(default_factory=list)
-    tracker: TrajectoryTracker = field(default_factory=TrajectoryTracker)
-    start_time: float = 0.0
-    end_time: float = 0.0
-
-    @property
-    def trajectory(self) -> list[np.ndarray]:
-        return self.tracker.positions
-
-    @property
-    def accumulated_distance(self) -> float:
-        return self.tracker.total
 
 
 def acceptance_probability(delta_energy: float, temperature: float) -> float:
@@ -174,7 +160,6 @@ def initialize(config: FFOConfig, objective) -> FFOState:
         best_global_fitness=float(fitness[best]),
         step_size=config.step_size,
         mutation_rates=np.full(config.num_agents, 0.1),
-        tracker=TrajectoryTracker(record=config.record_trajectory),
     )
 
 
@@ -254,18 +239,18 @@ def apply_perturbation(state: FFOState, agent: np.ndarray, intensity: float) -> 
     return agent + gains * (state.best_global_agent - agent)
 
 
-def update_agents(state: FFOState, objective) -> None:
-    """One full population update pass.
+def update_agents(state: FFOState, objective) -> np.ndarray:
+    """One full population update pass; returns the moved rows.
 
     Evaluates the population first, then sweeps agents in index order through
-    crossover, optional local search, the stagnation perturbation, clipping,
-    and trajectory logging. Crossover writes both children back, and the
-    partner index may equal the agent's own (a no-op, as the children of two
-    identical parents are that parent). With a single coordinate there is no
-    cut point, so the crossover branch is skipped entirely. Each agent's
-    position is logged as it leaves its own update (a later crossover may
-    still overwrite it as a partner); the sweep reaches the tracker in one
-    call at the end.
+    crossover, optional local search, the stagnation perturbation and
+    clipping. Crossover writes both children back, and the partner index may
+    equal the agent's own (a no-op, as the children of two identical parents
+    are that parent). With a single coordinate there is no cut point, so the
+    crossover branch is skipped entirely. Row ``i`` of the returned array is
+    agent ``i``'s position as it left its own update (a later crossover may
+    still overwrite the agent as a partner); the rows are the sweep's part of
+    the trajectory, in visiting order.
     """
     evaluate_agents(state, objective)
     cfg = state.config
@@ -289,7 +274,7 @@ def update_agents(state: FFOState, objective) -> None:
             agents[i] = apply_perturbation(state, agents[i], intensity)
         np.clip(agents[i], lower, upper, out=agents[i])
         moved[i] = agents[i]
-    state.tracker.extend(moved)
+    return moved
 
 
 def cooling_schedule(state: FFOState) -> None:
@@ -316,36 +301,19 @@ def should_terminate(state: FFOState, config: FFOConfig) -> bool:
     return state.iteration >= config.max_iter
 
 
-def total_distance(state: FFOState) -> float:
-    """Re-sum the stored trajectory's path length.
-
-    Needs ``record_trajectory``; the streaming ``accumulated_distance`` is
-    available either way and must agree with this when positions are stored.
-    """
-    return path_length(state.trajectory)
-
-
-def run(config: FFOConfig, objective) -> RunOutcome:
-    """Execute a full run and report the outcome.
+@driven
+def run(config: FFOConfig, objective):
+    """Execute a full run and report the outcome as a :class:`~ember.recording.RunOutcome`.
 
     The best-so-far fitness is appended to the history after every completed
     update pass, so the history is non-increasing and its last entry equals
     ``best_fitness``.
     """
-    start = time.perf_counter()
     state = initialize(config, objective)
-    state.start_time = start
+    yield None, state.best_global_agent, state.best_global_fitness
     while not should_terminate(state, config):
-        update_agents(state, objective)
+        moved = update_agents(state, objective)
         cooling_schedule(state)
-        state.fitness_history.append(state.best_global_fitness)
+        yield moved, state.best_global_agent, state.best_global_fitness
         state.iteration += 1
-    state.end_time = time.perf_counter()
-    return RunOutcome(
-        best_agent=state.best_global_agent.copy(),
-        best_fitness=state.best_global_fitness,
-        fitness_history=list(state.fitness_history),
-        execution_time=state.end_time - state.start_time,
-        total_distance=state.accumulated_distance,
-        iterations_run=state.iteration,
-    )
+    return state.iteration

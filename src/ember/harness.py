@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import PARAM_DEFAULTS, OptimizerSpec, optimizer_names, run_optimizer
+from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
 from .errors import ConfigError, EmberError, MetricError
 from .functions import domain_box, get_function, known_minimum, list_functions, make_objective
 
@@ -44,6 +44,7 @@ __all__ = [
     "rank_top3",
     "run_grid",
     "summarize",
+    "write_history",
 ]
 
 RESULT_COLUMNS = (
@@ -82,6 +83,11 @@ def derive_cell_seed(master_seed: int, cell_key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _cell_key(algorithm, function, dimension, agents, max_iter, seed) -> str:
+    # Seed-bearing: derive_cell_seed hashes this string, so it must not change.
+    return f"{algorithm}__{function}__d{dimension}__a{agents}__i{max_iter}__s{seed}"
+
+
 @dataclass
 class RunRecord:
     """One grid cell's outcome. Metric fields are None for skips and errors."""
@@ -104,9 +110,8 @@ class RunRecord:
 
     @property
     def cell_key(self) -> str:
-        return (
-            f"{self.algorithm}__{self.function}__d{self.dimension}"
-            f"__a{self.agents}__i{self.max_iter}__s{self.seed}"
+        return _cell_key(
+            self.algorithm, self.function, self.dimension, self.agents, self.max_iter, self.seed
         )
 
     def csv_row(self) -> list[str]:
@@ -141,7 +146,6 @@ class ExperimentGrid:
     params: dict = field(default_factory=dict)
     output: str | None = None
     save_histories: bool = False
-    record_trajectory: bool = True
     jobs: int = 1
 
     def __post_init__(self):
@@ -172,10 +176,11 @@ class ExperimentGrid:
         for algo, overrides in self.params.items():
             if algo not in known:
                 raise ConfigError(f"params.{algo}: unknown optimizer")
-            valid = set(PARAM_DEFAULTS.get(algo, {}))
-            for key in overrides:
-                if key not in valid:
-                    raise ConfigError(f"params.{algo}.{key}: unknown parameter")
+            try:
+                # the smallest population bounds what GA's elitism may be
+                resolve_params(algo, overrides, min(self.agent_counts))
+            except ConfigError as exc:
+                raise ConfigError(f"params.{algo}.{exc}") from None
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -190,9 +195,12 @@ class _Cell:
     seed: int
     derived_seed: int
     params: dict
-    record_trajectory: bool
     collect_history: bool
     accepted: bool
+
+    def record(self, **outcome) -> RunRecord:
+        return RunRecord(self.algorithm, self.function, self.dimension, self.agents,
+                         self.max_iter, self.seed, **outcome)
 
 
 def _cell_accepted(function_name: str, dimension: int) -> bool:
@@ -214,7 +222,7 @@ def enumerate_cells(grid: ExperimentGrid) -> list[_Cell]:
                 for agents in grid.agent_counts:
                     for iters in grid.iteration_counts:
                         for seed in grid.seeds:
-                            key = f"{algo}__{fn}__d{dim}__a{agents}__i{iters}__s{seed}"
+                            key = _cell_key(algo, fn, dim, agents, iters, seed)
                             cells.append(
                                 _Cell(
                                     algorithm=algo,
@@ -225,7 +233,6 @@ def enumerate_cells(grid: ExperimentGrid) -> list[_Cell]:
                                     seed=seed,
                                     derived_seed=derive_cell_seed(grid.master_seed, key),
                                     params=overrides,
-                                    record_trajectory=grid.record_trajectory,
                                     collect_history=grid.save_histories,
                                     accepted=accepted,
                                 )
@@ -234,14 +241,7 @@ def enumerate_cells(grid: ExperimentGrid) -> list[_Cell]:
 
 
 def _execute_cell(cell: _Cell) -> RunRecord:
-    record = RunRecord(
-        algorithm=cell.algorithm,
-        function=cell.function,
-        dimension=cell.dimension,
-        agents=cell.agents,
-        max_iter=cell.max_iter,
-        seed=cell.seed,
-    )
+    record = cell.record()
     try:
         objective = make_objective(cell.function, cell.dimension)
         domain = domain_box(cell.function, cell.dimension)
@@ -252,7 +252,7 @@ def _execute_cell(cell: _Cell) -> RunRecord:
             num_agents=cell.agents,
             seed=cell.derived_seed,
         )
-        outcome = run_optimizer(spec, objective, domain, record_trajectory=cell.record_trajectory)
+        outcome = run_optimizer(spec, objective, domain)
         speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     except Exception as exc:  # a failing cell must not abort the grid
         record.status = "error"
@@ -269,13 +269,7 @@ def _execute_cell(cell: _Cell) -> RunRecord:
 
 
 def _skip_record(cell: _Cell) -> RunRecord:
-    return RunRecord(
-        algorithm=cell.algorithm,
-        function=cell.function,
-        dimension=cell.dimension,
-        agents=cell.agents,
-        max_iter=cell.max_iter,
-        seed=cell.seed,
+    return cell.record(
         status="skipped",
         message=f"{cell.function} is not tagged scalable; dimension {cell.dimension} skipped",
     )
@@ -341,13 +335,20 @@ def export_history(record: RunRecord, directory) -> Path:
     """
     if record.history is None:
         raise ConfigError(f"record {record.cell_key} carries no history to export")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{record.cell_key}.csv"
+    return write_history(record.history, Path(directory) / f"{record.cell_key}.csv")
+
+
+def write_history(history, path) -> Path:
+    """Write a best-so-far history to ``path`` as ``iteration,best_fitness`` rows.
+
+    Iterations are numbered from 1; missing parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("iteration", "best_fitness"))
-        for i, value in enumerate(record.history, start=1):
+        for i, value in enumerate(history, start=1):
             writer.writerow((i, str(value)))
     return path
 
@@ -564,7 +565,6 @@ _GRID_KEYS = {
     "params",
     "output",
     "save_histories",
-    "record_trajectory",
     "jobs",
 }
 
@@ -624,6 +624,5 @@ def grid_from_mapping(config: dict) -> ExperimentGrid:
         params=params,
         output=merged.get("output"),
         save_histories=bool(merged.get("save_histories", False)),
-        record_trajectory=bool(merged.get("record_trajectory", True)),
         jobs=int(merged.get("jobs", 1)),
     )

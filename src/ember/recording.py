@@ -1,9 +1,11 @@
-"""Run outcomes, trajectory accounting, and evaluation plumbing shared by
-every optimizer."""
+"""The run driver (:func:`driven`), run outcomes, trajectory accounting, and
+evaluation plumbing shared by every optimizer."""
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,18 +71,15 @@ def evaluate_rows(objective, rows) -> np.ndarray:
 class TrajectoryTracker:
     """Accumulates the Euclidean path length of appended positions.
 
-    The running total is maintained in streaming fashion so the distance
-    metric survives even when position storage is turned off for large
-    experiments. Distances are summed in append order, each new point
+    Only the running total and the last point are kept, so memory does not
+    grow with the run. Distances are summed in append order, each new point
     measured against the previously appended one.
     """
 
-    __slots__ = ("positions", "total", "record", "_prev")
+    __slots__ = ("total", "_prev")
 
-    def __init__(self, record: bool = True):
-        self.positions: list[np.ndarray] = []
+    def __init__(self):
         self.total: float = 0.0
-        self.record = record
         self._prev: np.ndarray | None = None
 
     def append(self, position) -> None:
@@ -88,12 +87,10 @@ class TrajectoryTracker:
         if self._prev is not None:
             self.total += float(np.linalg.norm(point - self._prev))
         self._prev = point
-        if self.record:
-            self.positions.append(point)
 
     def extend(self, rows) -> None:
         """Append the rows of a 2-D array in order; same result as one append each."""
-        points = np.array(rows, dtype=float, copy=True)
+        points = np.asarray(rows, dtype=float)
         if len(points) == 0:
             return
         if self._prev is None:
@@ -105,12 +102,7 @@ class TrajectoryTracker:
         for length in np.sqrt(np.vecdot(steps, steps)).tolist():
             total += length
         self.total = total
-        self._prev = points[-1]
-        if self.record:
-            self.positions.extend(points)
-
-    def __len__(self) -> int:
-        return len(self.positions)
+        self._prev = points[-1].copy()
 
 
 def path_length(positions) -> float:
@@ -142,3 +134,37 @@ class RunOutcome:
     execution_time: float = 0.0
     total_distance: float = 0.0
     iterations_run: int = 0
+
+
+def driven(steps):
+    """Turn an optimizer's step generator into a runner returning a :class:`RunOutcome`.
+
+    ``steps`` yields ``(None, best_agent, best_fitness)`` after initialization,
+    then ``(moved, best_agent, best_fitness)`` after each iteration, and
+    returns its iteration counter. ``moved`` is the point or the 2-D block of
+    rows the iteration visited, in order. The one timer covers initialization
+    and every iteration, so execution time means the same for every optimizer.
+    """
+
+    @functools.wraps(steps)
+    def run(*args, **kwargs) -> RunOutcome:
+        start = time.perf_counter()
+        run_steps = steps(*args, **kwargs)
+        _, best_agent, best_fitness = next(run_steps)
+        tracker = TrajectoryTracker()
+        history: list[float] = []
+        while True:
+            try:
+                moved, best_agent, best_fitness = next(run_steps)
+            except StopIteration as stop:
+                iterations_run = stop.value
+                break
+            if moved.ndim == 1:
+                tracker.append(moved)
+            else:
+                tracker.extend(moved)
+            history.append(best_fitness)
+        elapsed = time.perf_counter() - start
+        return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, iterations_run)
+
+    return run

@@ -156,12 +156,13 @@ def test_criterion_04_streaming_distance_matches_brute_force():
     config = FFOConfig(dimension=2, num_agents=3, max_iter=5, seed=8)
     objective = make_objective("sphere", 2)
     state = initialize(config, objective)
+    visited = []
     while not should_terminate(state, config):
-        update_agents(state, objective)
+        visited.extend(update_agents(state, objective))
         cooling_schedule(state)
         state.iteration += 1
-    streaming = state.accumulated_distance
-    resummed = path_length(state.trajectory)
+    streaming = ffo.run(config, objective).total_distance
+    resummed = path_length(visited)
     elapsed = time.perf_counter() - start
     assert streaming == pytest.approx(resummed, rel=1e-12)
     _announce(4, "distance oracle", f"streaming {streaming:.6f} == resummed "

@@ -1,6 +1,7 @@
 """Reference optimizer tests: dispatch, convergence sanity, budget handling."""
 
 import statistics
+import time
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ def sphere(x):
     return float(np.sum(x * x))
 
 
-def run_named(name, seed=0, max_iter=200, num_agents=30, params=None, record=True):
+def run_named(name, seed=0, max_iter=200, num_agents=30, params=None):
     spec = OptimizerSpec(name=name, params=params or {}, max_iter=max_iter,
                          num_agents=num_agents, seed=seed)
-    return run_optimizer(spec, sphere, BOX, record_trajectory=record)
+    return run_optimizer(spec, sphere, BOX)
 
 
 def test_dispatch_table_contents():
@@ -54,6 +55,18 @@ def test_unknown_parameter_rejected_with_valid_names():
         run_named("pso", params={"momentum": 0.5})
     message = str(exc.value)
     assert "momentum" in message and "inertia" in message
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("sa", "proposal_scale", -1),
+    ("ga", "mutation_scale", -0.1),
+    ("ga", "tournament_size", 0),
+    ("ga", "elitism", 50),
+    ("ffo", "cooling_rate", 2),
+])
+def test_runners_reject_bad_parameter_values(name, key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        run_named(name, max_iter=5, num_agents=5, params={key: value})
 
 
 @pytest.mark.parametrize("name", ["pso", "sa", "ga", "hs"])
@@ -118,11 +131,19 @@ def test_same_seed_same_outcome(name):
     assert c.fitness_history != a.fitness_history
 
 
-@pytest.mark.parametrize("name", ["pso", "sa", "ga", "hs"])
-def test_distance_total_ignores_storage_flag(name):
-    on = run_named(name, seed=2, max_iter=40, record=True)
-    off = run_named(name, seed=2, max_iter=40, record=False)
-    assert on.total_distance == off.total_distance
+@pytest.mark.parametrize("name", ["ffo", "pso", "sa", "ga", "hs"])
+def test_execution_time_covers_initialization(name):
+    # with no update pass to run, the only time spent is the initial evaluation
+    pause = 0.01
+
+    def slow_sphere(x):
+        time.sleep(pause)
+        return sphere(x)
+
+    spec = OptimizerSpec(name=name, max_iter=1 if name == "ffo" else 0, num_agents=2)
+    outcome = run_optimizer(spec, slow_sphere, BOX)
+    assert outcome.fitness_history == []
+    assert outcome.execution_time >= pause
 
 
 def test_ffo_adapter_runs_through_dispatch():
@@ -148,7 +169,7 @@ def test_ffo_adapter_forwards_termination_conditions():
 
 
 def test_register_optimizer_round_trip():
-    def fixed_point(spec, objective, domain, record_trajectory=True):
+    def fixed_point(spec, objective, domain):
         agent = np.zeros(domain.dimension)
         value = float(objective(agent))
         return RunOutcome(best_agent=agent, best_fitness=value,

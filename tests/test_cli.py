@@ -187,6 +187,21 @@ def test_grid_config_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "params.pso.bogus" in err
 
 
+@pytest.mark.parametrize("algo,key,value", [
+    ("sa", "proposal_scale", -1),
+    ("ga", "mutation_scale", -0.1),
+    ("ga", "tournament_size", 0),
+    ("ga", "elitism", 50),
+    ("ffo", "cooling_rate", 2),
+])
+def test_grid_bad_parameter_value_exits_two_before_any_cell(capsys, tmp_path, algo, key, value):
+    config = write_config(tmp_path, algorithms=[algo], agent_counts=[5],
+                          params={algo: {key: value}})
+    code, _, err = run_cli(capsys, ["grid", str(config)])
+    assert code == 2 and f"params.{algo}.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 

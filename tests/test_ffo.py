@@ -331,25 +331,20 @@ def test_run_with_conditions_stops_on_target():
     assert outcome.iterations_run < 10_000
 
 
-def test_distance_total_survives_storage_off():
-    # turning position storage off must not change the streaming total;
-    # it only drops the replayable path
-    off = ffo.run(small_config(max_iter=15, record_trajectory=False), sphere)
-    on = ffo.run(small_config(max_iter=15, record_trajectory=True), sphere)
-    assert off.total_distance == on.total_distance
-    assert off.total_distance > 0.0
-
-
 def test_streaming_distance_matches_resummed_path():
+    # replay the run through the public operations, keep every row that
+    # update_agents returns, and re-sum that path by brute force
     cfg = small_config(max_iter=12, num_agents=5, seed=13)
     state = initialize(cfg, sphere)
+    visited = []
     while not should_terminate(state, cfg):
-        update_agents(state, sphere)
+        visited.extend(update_agents(state, sphere))
         cooling_schedule(state)
-        state.fitness_history.append(state.best_global_fitness)
         state.iteration += 1
-    resummed = path_length(state.trajectory)
-    assert state.accumulated_distance == pytest.approx(resummed, rel=1e-12)
+    assert len(visited) == 11 * 5
+    outcome = ffo.run(cfg, sphere)
+    assert outcome.total_distance == pytest.approx(path_length(visited), rel=1e-12)
+    assert outcome.total_distance > 0.0
 
 
 def test_non_finite_objective_raises_evaluation_error():

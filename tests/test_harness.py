@@ -134,6 +134,20 @@ def test_grid_from_mapping_rejects_unknown_keys_with_paths():
         grid_from_mapping({"functions": {"filter": ["no-such-tag"]}})
 
 
+@pytest.mark.parametrize("algo,key,value", [
+    ("sa", "proposal_scale", -1),
+    ("ga", "mutation_scale", -0.1),
+    ("ga", "tournament_size", 0),
+    ("ga", "elitism", 50),  # more elites than the 5 agents
+    ("ffo", "cooling_rate", 2),
+    ("pso", "inertia", "fast"),
+])
+def test_grid_rejects_bad_parameter_values_with_paths(algo, key, value):
+    with pytest.raises(ConfigError, match=rf"^params\.{algo}\.{key} must"):
+        grid_from_mapping({"algorithms": [algo], "functions": ["sphere"],
+                           "agent_counts": [5, 60], "params": {algo: {key: value}}})
+
+
 def test_grid_from_mapping_filter_and_overrides():
     grid = grid_from_mapping({
         "functions": {"filter": ["scalable", "unimodal"]},
@@ -217,7 +231,7 @@ def test_master_seed_changes_results():
 
 
 def test_failing_cell_is_recorded_and_grid_continues():
-    def unstable(spec, objective, domain, record_trajectory=True):
+    def unstable(spec, objective, domain):
         raise RuntimeError("deliberate failure")
 
     register_optimizer("unstable", unstable, {})
@@ -236,7 +250,7 @@ def test_failing_cell_is_recorded_and_grid_continues():
 
 
 def test_undefined_distance_rate_fails_only_its_cell():
-    def instant(spec, objective, domain, record_trajectory=True):
+    def instant(spec, objective, domain):
         return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
 
     register_optimizer("instant", instant, {})
