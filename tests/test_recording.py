@@ -5,7 +5,7 @@ import pytest
 
 from ember.errors import EvaluationError
 from ember.functions import make_objective
-from ember.recording import TrajectoryTracker, batch_capable, evaluate_rows
+from ember.recording import TrajectoryTracker, batch_capable, evaluate_rows, path_length
 
 
 def _rows(n=6, d=4, seed=0):
@@ -93,13 +93,19 @@ def _extended(chunks):
     return tracker
 
 
+@pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("d", [1, 2, 20, 200])
-def test_extend_equals_appending_each_row(d):
+def test_extend_equals_appending_each_row(d, record):
     rows = _rows(n=40, d=d, seed=d)
     # first call with no previous point, a single-row call, an empty call,
     # then calls that continue from the last point
     chunks = [rows[:7], rows[7:8], rows[8:8], rows[8:9], rows[9:30], rows[30:]]
-    assert _extended(chunks).total == _appended(chunks).total
+    batched = _extended(chunks)
+    assert batched.total == _appended(chunks).total
+    if record:
+        # the tracker keeps no positions; the caller's own record of them
+        # re-sums to the same streaming total
+        assert batched.total == path_length(np.concatenate(chunks))
 
 
 def test_extend_copies_its_rows():
