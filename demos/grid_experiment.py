@@ -14,21 +14,24 @@ from pathlib import Path
 
 from ember import ExperimentGrid, rank_top3, run_grid, summarize
 
-workdir = Path(tempfile.mkdtemp(prefix="ember_demo_"))
+with tempfile.TemporaryDirectory(prefix="ember_demo_") as tmp:
+    workdir = Path(tmp)
+    grid = ExperimentGrid(
+        algorithms=("ffo", "pso", "sa", "ga", "hs"),
+        functions=("sphere", "rastrigin", "booth"),
+        dimensions=(2, 20),
+        agent_counts=(20,),
+        iteration_counts=(100,),
+        seeds=(0, 1, 2),
+        master_seed=2024,
+        output=str(workdir),
+        save_histories=True,
+    )
+    records = run_grid(grid)
+    artifacts = sorted(p.relative_to(workdir) for p in workdir.rglob("*.csv"))
+    sample = next(workdir.glob("histories/*.csv"))
+    head = sample.read_text().splitlines()[:4]
 
-grid = ExperimentGrid(
-    algorithms=("ffo", "pso", "sa", "ga", "hs"),
-    functions=("sphere", "rastrigin", "booth"),
-    dimensions=(2, 20),
-    agent_counts=(20,),
-    iteration_counts=(100,),
-    seeds=(0, 1, 2),
-    master_seed=2024,
-    output=str(workdir),
-    save_histories=True,
-)
-
-records = run_grid(grid)
 counts = {}
 for record in records:
     counts[record.status] = counts.get(record.status, 0) + 1
@@ -56,9 +59,6 @@ for category, tally in report.global_counts.items():
     print(f"{category:<16} {line}")
 print()
 
-artifacts = sorted(p.relative_to(workdir) for p in workdir.rglob("*.csv"))
-print(f"artifacts under {workdir}:")
+print(f"artifacts written under {workdir} (removed on exit):")
 print(f"  results.csv plus {len(artifacts) - 1} history files")
-sample = next(workdir.glob("histories/*.csv"))
-head = sample.read_text().splitlines()[:4]
 print(f"  {sample.name} starts with: {head}")

@@ -151,7 +151,7 @@ def run_pso(spec, objective, domain):
     fitness = evaluate_rows(objective, positions)
     personal_best = positions.copy()
     personal_fitness = fitness.copy()
-    g = int(np.argmin(fitness))
+    g = int(fitness.argmin())
     best_agent = positions[g].copy()
     best_fitness = float(fitness[g])
     yield None, best_agent, best_fitness
@@ -168,7 +168,7 @@ def run_pso(spec, objective, domain):
         improved = fitness < personal_fitness
         personal_best[improved] = positions[improved]
         personal_fitness[improved] = fitness[improved]
-        g = int(np.argmin(personal_fitness))
+        g = int(personal_fitness.argmin())
         if personal_fitness[g] < best_fitness:
             best_fitness = float(personal_fitness[g])
             best_agent = personal_best[g].copy()
@@ -227,33 +227,43 @@ def run_ga(spec, objective, domain):
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population = _initial_population(rng, domain, n)
     fitness = evaluate_rows(objective, population)
-    g = int(np.argmin(fitness))
+    g = int(fitness.argmin())
     best_agent = population[g].copy()
     best_fitness = float(fitness[g])
 
-    def select() -> np.ndarray:
-        contenders = rng.integers(n, size=tournament)
-        winner = contenders[int(np.argmin(fitness[contenders]))]
-        return population[winner]
+    def select(values: list[float]) -> int:
+        # One scalar draw per contender: PCG64 hands out the same 32-bit
+        # halves as integers(n, size=tournament), so the stream is unchanged.
+        winner = int(rng.integers(n))
+        for _ in range(tournament - 1):
+            contender = int(rng.integers(n))
+            if values[contender] < values[winner]:
+                winner = contender
+        return winner
 
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
-        elite_order = np.argsort(fitness, kind="stable")[:elitism]
-        next_population = [population[i].copy() for i in elite_order]
-        while len(next_population) < n:
-            child1 = select().copy()
-            child2 = select().copy()
+        values = fitness.tolist()
+        children = np.empty((n, d))
+        children[:elitism] = population[np.argsort(fitness, kind="stable")[:elitism]]
+        k = elitism
+        while k < n:
+            first, second = select(values), select(values)
+            pair = children[k : k + 2]  # a single row when one slot is left
+            pair[0] = population[first]
+            pair[1:] = population[second]
             if d >= 2 and rng.random() < params["crossover_rate"]:
-                child1, child2 = ffo.one_point_crossover(child1, child2, rng=rng)
-            for child in (child1, child2):
-                if len(next_population) >= n:
-                    break
+                point = int(rng.integers(1, d))
+                pair[0, point:] = population[second, point:]
+                pair[1:, point:] = population[first, point:]
+            for child in pair:
                 mask = rng.random(d) < params["mutation_rate"]
                 steps = rng.normal(0.0, sigma, size=d)
-                next_population.append(np.where(mask, child + steps, child))
-        population = np.clip(np.array(next_population), domain.lower, domain.upper)
+                np.add(child, steps, out=child, where=mask)
+            k += len(pair)
+        population = np.clip(children, domain.lower, domain.upper, out=children)
         fitness = evaluate_rows(objective, population)
-        g = int(np.argmin(fitness))
+        g = int(fitness.argmin())
         if fitness[g] < best_fitness:
             best_fitness = float(fitness[g])
             best_agent = population[g].copy()
@@ -279,7 +289,7 @@ def run_hs(spec, objective, domain):
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
     memory = _initial_population(rng, domain, n)
     fitness = evaluate_rows(objective, memory)
-    g = int(np.argmin(fitness))
+    g = int(fitness.argmin())
     best_agent = memory[g].copy()
     best_fitness = float(fitness[g])
     yield None, best_agent, best_fitness
@@ -294,7 +304,7 @@ def run_hs(spec, objective, domain):
                 harmony[j] = rng.uniform(domain.lower, domain.upper)
         harmony = np.clip(harmony, domain.lower, domain.upper)
         value = evaluate_checked(objective, harmony)
-        worst = int(np.argmax(fitness))
+        worst = int(fitness.argmax())
         if value < fitness[worst]:
             memory[worst] = harmony
             fitness[worst] = value

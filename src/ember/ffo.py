@@ -151,7 +151,7 @@ def initialize(config: FFOConfig, objective) -> FFOState:
     lower, upper = config.bounds
     agents = rng.uniform(lower, upper, size=(config.num_agents, config.dimension))
     fitness = evaluate_rows(objective, agents)
-    best = int(np.argmin(fitness))
+    best = int(fitness.argmin())
     return FFOState(
         config=config,
         rng=rng,
@@ -172,7 +172,7 @@ def evaluate_agents(state: FFOState, objective) -> np.ndarray:
     """
     agents = state.agents
     fitness = evaluate_rows(objective, agents)
-    best = int(np.argmin(fitness))
+    best = int(fitness.argmin())
     if fitness[best] < state.best_global_fitness:
         state.best_global_fitness = float(fitness[best])
         state.best_global_agent = agents[best].copy()
@@ -244,13 +244,14 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
 
     Evaluates the population first, then sweeps agents in index order through
     crossover, optional local search, the stagnation perturbation and
-    clipping. Crossover writes both children back, and the partner index may
-    equal the agent's own (a no-op, as the children of two identical parents
-    are that parent). With a single coordinate there is no cut point, so the
-    crossover branch is skipped entirely. Row ``i`` of the returned array is
-    agent ``i``'s position as it left its own update (a later crossover may
-    still overwrite the agent as a partner); the rows are the sweep's part of
-    the trajectory, in visiting order.
+    clipping. Crossover swaps the tails of the agent and its partner in place
+    (the draws and values of :func:`one_point_crossover`), and the partner
+    index may equal the agent's own (a no-op, as the children of two identical
+    parents are that parent). With a single coordinate there is no cut point,
+    so the crossover branch is skipped entirely. Row ``i`` of the returned
+    array is agent ``i``'s position as it left its own update (a later
+    crossover may still overwrite the agent as a partner); the rows are the
+    sweep's part of the trajectory, in visiting order.
     """
     evaluate_agents(state, objective)
     cfg = state.config
@@ -263,17 +264,27 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
         intensity = perturbation_intensity(state.no_improve_counter, cfg.perturbation_threshold)
     moved = np.empty_like(agents)
     for i in range(n_agents):
+        row = agents[i]
         if dimension >= 2 and rng.random() < cfg.crossover_probability:
             partner = int(rng.integers(n_agents))
-            child1, child2 = one_point_crossover(agents[i], agents[partner], rng=rng)
-            agents[i] = child1
-            agents[partner] = child2
+            point = int(rng.integers(1, dimension))
+            tail = row[point:].copy()
+            row[point:] = agents[partner, point:]
+            agents[partner, point:] = tail
+        # Only local search and the perturbation can leave the box: every
+        # other coordinate is an initial uniform in [lower, upper) or was
+        # clipped when its agent was updated, and crossover only exchanges them.
+        displaced = False
         if rng.random() < cfg.mutation_probability:
-            agents[i] = local_search(state, agents[i], i, objective)
+            row[:] = local_search(state, row, i, objective)
+            displaced = True
         if stagnant:
-            agents[i] = apply_perturbation(state, agents[i], intensity)
-        np.clip(agents[i], lower, upper, out=agents[i])
-        moved[i] = agents[i]
+            row[:] = apply_perturbation(state, row, intensity)
+            displaced = True
+        if displaced:
+            np.maximum(row, lower, out=row)
+            np.minimum(row, upper, out=row)
+        moved[i] = row
     return moved
 
 

@@ -307,12 +307,27 @@ def three_hump_camel(x: np.ndarray):
 _WHITLEY_BLOCK = 2500
 
 
-def _whitley(x: np.ndarray):
-    xi2 = x**2
-    ridge = (xi2[..., :, None] - x[..., None, :]) ** 2
-    tail = (1.0 - x[..., None, :]) ** 2
-    y = 100.0 * ridge + tail
-    return np.sum(y**2 / 4000.0 - np.cos(200.0 * ridge + tail) + 1.0, axis=(-2, -1))
+def _whitley(x: np.ndarray, ridge: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whitley of the ``k`` rows of ``x``, computed in the ``(k, d, d)`` buffers.
+
+    Each in-place step computes the same floats as the plain expression
+    ``sum((100 r + t)**2 / 4000 - cos(200 r + t) + 1)`` with
+    ``r = (x_i**2 - x_j)**2`` and ``t = (1 - x_j)**2``, and the sum over the
+    contiguous ``d * d`` block adds them in the order ``np.sum`` does.
+    """
+    np.subtract(np.square(x)[:, :, None], x[:, None, :], out=ridge)
+    np.square(ridge, out=ridge)
+    tail = np.square(1.0 - x)[:, None, :]
+    np.multiply(ridge, 100.0, out=y)
+    np.add(y, tail, out=y)
+    np.square(y, out=y)
+    np.divide(y, 4000.0, out=y)
+    np.multiply(ridge, 200.0, out=ridge)
+    np.add(ridge, tail, out=ridge)
+    np.cos(ridge, out=ridge)
+    np.subtract(y, ridge, out=y)
+    np.add(y, 1.0, out=y)
+    return np.add.reduce(y.reshape(len(x), -1), axis=1)
 
 
 @batch_capable
@@ -321,16 +336,21 @@ def whitley(x: np.ndarray):
 
     Minimum 0 at the all-ones point. The cosine term uses a 200 scale on the
     squared ridge, the quartic term the usual 100 scale. A batch is evaluated
-    in blocks of rows so that the (d, d) temporaries stay small.
+    in blocks of rows, reusing two buffers so that the (d, d) temporaries
+    stay small.
     """
-    if x.ndim == 1:
-        return _whitley(x)
     d = x.shape[-1]
+    if x.ndim == 1:
+        return _whitley(x[None], np.empty((1, d, d)), np.empty((1, d, d)))[0]
     rows = x.reshape(-1, d)
+    step = max(1, min(len(rows), _WHITLEY_BLOCK // (d * d)))
+    ridge = np.empty((step, d, d))
+    y = np.empty((step, d, d))
     values = np.empty(len(rows))
-    step = max(1, _WHITLEY_BLOCK // (d * d))
     for start in range(0, len(rows), step):
-        values[start : start + step] = _whitley(rows[start : start + step])
+        block = rows[start : start + step]
+        k = len(block)
+        values[start : start + k] = _whitley(block, ridge[:k], y[:k])
     return values.reshape(x.shape[:-1])
 
 

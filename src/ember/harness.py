@@ -202,6 +202,9 @@ class _Cell:
         return RunRecord(self.algorithm, self.function, self.dimension, self.agents,
                          self.max_iter, self.seed, **outcome)
 
+    def failed(self, exc: Exception) -> RunRecord:
+        return self.record(status="error", message=f"{type(exc).__name__}: {exc}")
+
 
 def _cell_accepted(function_name: str, dimension: int) -> bool:
     # High-dimensional regimes pair only with functions tagged scalable; the
@@ -241,7 +244,6 @@ def enumerate_cells(grid: ExperimentGrid) -> list[_Cell]:
 
 
 def _execute_cell(cell: _Cell) -> RunRecord:
-    record = cell.record()
     try:
         objective = make_objective(cell.function, cell.dimension)
         domain = domain_box(cell.function, cell.dimension)
@@ -255,17 +257,15 @@ def _execute_cell(cell: _Cell) -> RunRecord:
         outcome = run_optimizer(spec, objective, domain)
         speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     except Exception as exc:  # a failing cell must not abort the grid
-        record.status = "error"
-        record.message = f"{type(exc).__name__}: {exc}"
-        return record
-    record.best_fitness = outcome.best_fitness
-    record.execution_time = outcome.execution_time
-    record.total_distance = outcome.total_distance
-    record.distance_per_unit_time = speed
-    record.iterations_run = outcome.iterations_run
-    if cell.collect_history:
-        record.history = list(outcome.fitness_history)
-    return record
+        return cell.failed(exc)
+    return cell.record(
+        best_fitness=outcome.best_fitness,
+        execution_time=outcome.execution_time,
+        total_distance=outcome.total_distance,
+        distance_per_unit_time=speed,
+        iterations_run=outcome.iterations_run,
+        history=list(outcome.fitness_history) if cell.collect_history else None,
+    )
 
 
 def _skip_record(cell: _Cell) -> RunRecord:
@@ -280,8 +280,9 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
 
     With an output path, rows stream to ``results.csv`` as cells finish (in
     enumeration order, so reruns are byte-identical) and histories are written
-    when requested. Failing cells become ``status=error`` records; the grid
-    always runs to completion.
+    when requested. Failing cells become ``status=error`` records, and so do
+    the cells lost when a worker process dies (a broken pool fails every cell
+    still queued on it); the grid always runs to completion.
     """
     cells = enumerate_cells(grid)
     out_dir = Path(grid.output) if grid.output else None
@@ -310,7 +311,10 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             if not cell.accepted:
                 record = _skip_record(cell)
             elif executor is not None:
-                record = pending[index].result()
+                try:
+                    record = pending[index].result()
+                except Exception as exc:  # e.g. BrokenProcessPool after a worker died
+                    record = cell.failed(exc)
             else:
                 record = _execute_cell(cell)
             if record.history is not None and histories_dir is not None:

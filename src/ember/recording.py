@@ -94,9 +94,11 @@ class TrajectoryTracker:
         if len(points) == 0:
             return
         if self._prev is None:
-            steps = np.diff(points, axis=0)
+            steps = points[1:] - points[:-1]
         else:
-            steps = np.diff(points, axis=0, prepend=self._prev[None])
+            steps = np.empty_like(points)
+            np.subtract(points[0], self._prev, out=steps[0])
+            np.subtract(points[1:], points[:-1], out=steps[1:])
         # Summed one step at a time, in append order, exactly as append() does.
         total = self.total
         for length in np.sqrt(np.vecdot(steps, steps)).tolist():

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ember.baselines as baselines
 from ember.baselines import (
@@ -15,8 +17,9 @@ from ember.baselines import (
     run_optimizer,
 )
 from ember.errors import ConfigError
-from ember.functions import DomainBox
-from ember.recording import RunOutcome
+from ember.ffo import one_point_crossover
+from ember.functions import DomainBox, domain_box, make_objective
+from ember.recording import RunOutcome, evaluate_rows
 
 BOX = DomainBox(-5.12, 5.12, 2)
 
@@ -193,3 +196,88 @@ def test_param_defaults_are_not_mutated_by_overrides():
     before = dict(PARAM_DEFAULTS["pso"])
     run_named("pso", max_iter=10, params={"inertia": 0.3})
     assert PARAM_DEFAULTS["pso"] == before
+
+
+# ---------------------------------------------------------------------------
+# GA draw order: the offspring loop against its first, row-by-row form
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 2**31),
+    tournament=st.integers(1, 8),
+    between=st.lists(st.sampled_from(["none", "random", "normal", "uniforms"]), max_size=12),
+)
+def test_scalar_integer_draws_replay_a_sized_draw(seed, n, tournament, between):
+    # run_ga's tournament takes `tournament` scalar integers(n) draws; with
+    # PCG64 both forms read the same 32-bit halves, also when other draws
+    # come between tournaments
+    sized = np.random.default_rng(seed)
+    scalar = np.random.default_rng(seed)
+    for other in [*between, "none"]:
+        drawn = [int(scalar.integers(n)) for _ in range(tournament)]
+        assert sized.integers(n, size=tournament).tolist() == drawn
+        if other == "random":
+            assert sized.random() == scalar.random()
+        elif other == "normal":
+            assert sized.normal(0.0, 1.0, size=3).tolist() == scalar.normal(0.0, 1.0, size=3).tolist()
+        elif other == "uniforms":
+            assert sized.random(5).tolist() == scalar.random(5).tolist()
+    assert sized.random() == scalar.random()
+
+
+def _reference_ga(spec, objective, domain):
+    """run_ga's population after each iteration, by its first offspring loop:
+    copied rows, one sized tournament draw, one_point_crossover, np.where
+    mutation, one clip of the assembled list."""
+    params = baselines.resolve_params("ga", spec.params, spec.num_agents)
+    tournament, elitism = int(params["tournament_size"]), int(params["elitism"])
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.num_agents, domain.dimension
+    sigma = params["mutation_scale"] * (domain.upper - domain.lower)
+    population = rng.uniform(domain.lower, domain.upper, size=(n, d))
+    fitness = evaluate_rows(objective, population)
+
+    def select():
+        contenders = rng.integers(n, size=tournament)
+        return population[contenders[int(np.argmin(fitness[contenders]))]]
+
+    populations = [population]
+    for _ in range(spec.max_iter):
+        next_population = [population[i].copy()
+                           for i in np.argsort(fitness, kind="stable")[:elitism]]
+        while len(next_population) < n:
+            child1, child2 = select().copy(), select().copy()
+            if d >= 2 and rng.random() < params["crossover_rate"]:
+                child1, child2 = one_point_crossover(child1, child2, rng=rng)
+            for child in (child1, child2):
+                if len(next_population) >= n:
+                    break
+                mask = rng.random(d) < params["mutation_rate"]
+                steps = rng.normal(0.0, sigma, size=d)
+                next_population.append(np.where(mask, child + steps, child))
+        population = np.clip(np.array(next_population), domain.lower, domain.upper)
+        fitness = evaluate_rows(objective, population)
+        populations.append(population)
+    return populations
+
+
+@pytest.mark.parametrize("n,d,params", [
+    (1, 2, {"elitism": 0, "crossover_rate": 1.0}),
+    (2, 1, {"elitism": 1, "crossover_rate": 1.0}),
+    (7, 2, {"elitism": 0, "crossover_rate": 0.5, "tournament_size": 1}),
+    (7, 5, {"elitism": 2, "crossover_rate": 0.5, "tournament_size": 3}),
+    (12, 20, {}),
+    (9, 3, {"elitism": 3, "crossover_rate": 1.0, "mutation_rate": 1.0, "tournament_size": 5}),
+])
+def test_ga_offspring_loop_replays_its_reference(n, d, params):
+    objective = make_objective("rastrigin", d)
+    domain = domain_box("rastrigin", d)
+    spec = OptimizerSpec(name="ga", params=params, max_iter=15, num_agents=n, seed=n * d)
+    steps = baselines.run_ga.__wrapped__(spec, objective, domain)
+    expected = _reference_ga(spec, objective, domain)
+    next(steps)
+    for reference in expected[1:]:
+        population, _, _ = next(steps)
+        assert population.tobytes() == reference.tobytes()

@@ -23,3 +23,4 @@ def test_demo_runs(script, tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    assert not list(tmp_path.glob("ember_demo_*"))  # temporary output is removed

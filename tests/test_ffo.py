@@ -289,6 +289,34 @@ def test_update_agents_single_coordinate_skips_crossover():
     assert state.rng.random() == shadow.random()  # generators in lockstep
 
 
+@pytest.mark.parametrize("num_agents", [1, 3, 9])
+def test_update_agents_crossover_replays_one_point_crossover(num_agents):
+    # the sweep swaps tails in place; a shadow generator replaying the same
+    # draws through one_point_crossover must reach the same rows, also when
+    # the partner is the agent itself (always so with one agent)
+    cfg = small_config(dimension=4, num_agents=num_agents, crossover_probability=0.7,
+                       mutation_probability=0.0, perturbation_threshold=10**6, seed=13)
+    state = initialize(cfg, sphere)
+    shadow = np.random.default_rng(cfg.seed)
+    agents = shadow.uniform(*cfg.bounds, size=(cfg.num_agents, cfg.dimension))
+    self_partnered = 0
+    for _ in range(6):
+        moved = update_agents(state, sphere)
+        expected = np.empty_like(agents)
+        for i in range(num_agents):
+            if shadow.random() < cfg.crossover_probability:
+                partner = int(shadow.integers(num_agents))
+                self_partnered += partner == i
+                agents[i], agents[partner] = one_point_crossover(agents[i], agents[partner],
+                                                                 rng=shadow)
+            shadow.random()  # mutation gate
+            expected[i] = agents[i]
+        assert state.agents.tobytes() == agents.tobytes()
+        assert moved.tobytes() == expected.tobytes()
+    assert self_partnered
+    assert state.rng.random() == shadow.random()  # generators in lockstep
+
+
 # ---------------------------------------------------------------------------
 # full runs
 

@@ -368,6 +368,25 @@ def test_batch_equals_row_by_row(name, dimension, data):
     assert stacked.tobytes() == one_by_one[:n].tobytes()
 
 
+def _whitley_expression(x):
+    # whitley as one broadcast expression, the form its buffered kernel replays
+    ridge = (x[..., :, None] ** 2 - x[..., None, :]) ** 2
+    tail = (1.0 - x[..., None, :]) ** 2
+    y = 100.0 * ridge + tail
+    return np.sum(y**2 / 4000.0 - np.cos(200.0 * ridge + tail) + 1.0, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 7, 20, 50])
+def test_whitley_buffers_match_plain_expression(dimension):
+    whitley = get_function("whitley").evaluator
+    rng = np.random.default_rng(dimension)
+    points = rng.uniform(-10.0, 10.0, size=(60, dimension)) * rng.choice([1e-3, 1.0], size=(60, 1))
+    expected = np.array([_whitley_expression(x) for x in points])
+    assert np.array([whitley(x) for x in points]).tobytes() == expected.tobytes()
+    assert whitley(points).tobytes() == expected.tobytes()
+    assert whitley(points[:0]).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # registry self-check
 

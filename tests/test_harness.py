@@ -1,13 +1,18 @@
 """Experiment harness tests: enumeration, CSV contracts, aggregation, ranking."""
 
 import csv
+import json
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import ember.baselines as baselines
+import ember.harness as harness
 from ember.baselines import PARAM_DEFAULTS, register_optimizer
+from ember.cli import main as cli_main
 from ember.errors import ConfigError, MetricError
 from ember.harness import (
     CATEGORIES,
@@ -266,6 +271,63 @@ def test_undefined_distance_rate_fails_only_its_cell():
     assert records[0].message.startswith("MetricError: execution time must be positive")
     assert records[0].best_fitness is None
     assert records[1].status == "ok"
+
+
+def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys):
+    main_pid = os.getpid()
+
+    def crash(spec, objective, domain):
+        if os.getpid() == main_pid:
+            raise RuntimeError("crash must run in a worker process")
+        os._exit(1)
+
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "algorithms": ["crash", "pso"], "functions": ["sphere"], "dimensions": [2],
+        "agent_counts": [5], "iteration_counts": [10], "seeds": [0, 1], "jobs": 2,
+    }))
+    out = tmp_path / "out"
+    register_optimizer("crash", crash, {})
+    try:
+        code = cli_main(["grid", str(config), "--out", str(out)])
+    finally:
+        del baselines._OPTIMIZERS["crash"]
+        del PARAM_DEFAULTS["crash"]
+    # the pool breaks with the first crash; pso cells still queued fail with it
+    assert code in (0, 1), capsys.readouterr().err
+    with (out / "results.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["algorithm"] for row in rows] == ["crash", "crash", "pso", "pso"]
+    assert [row["status"] for row in rows[:2]] == ["error", "error"]
+    assert all(row["best_fitness"] == "" for row in rows[:2])
+    assert {row["status"] for row in rows} <= {"ok", "error"}
+    assert (out / "summary.csv").read_text().startswith(",".join(SUMMARY_COLUMNS))
+    assert set(json.loads((out / "rankings.json").read_text())) >= {"global_counts"}
+
+
+def test_failed_future_message_names_the_exception(monkeypatch):
+    # a worker that dies leaves BrokenProcessPool in its futures; the record
+    # carries the exception's type and text
+    class Dead:
+        def result(self):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, cell):
+            return Dead()
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    records = run_grid(tiny_grid(jobs=2, functions=("sphere",), dimensions=(2,)))
+    assert [r.status for r in records] == ["error"] * 4
+    assert {r.message for r in records} == {
+        "BrokenProcessPool: a child process terminated abruptly"
+    }
 
 
 # ---------------------------------------------------------------------------
