@@ -218,6 +218,17 @@ def run_ga(spec, objective, domain):
     Tournament selection, one-point crossover, per-gene Gaussian mutation
     (sigma = mutation_scale * domain width), and elitism. Offspring are
     clipped to the domain.
+
+    Randomness comes from one seeded generator per run, drawn in a fixed
+    order: population init (n*d uniforms); then per generation, with
+    P = ceil((n - elitism) / 2) pairs, one draw per quantity: the (2P,
+    tournament_size) contender indices, then only when d >= 2 the P
+    crossover gates and the P crossover points, then the (2P, d) mutation
+    gates and the (2P, d) mutation steps. A tournament's winner is its first
+    fittest contender; children 2p and 2p+1 come from winners 2p and 2p+1
+    and swap tails from ``points[p]`` when pair p is crossed. With an odd
+    number of children the last one drawn is dropped. Elites (the fittest,
+    by stable sort) come first in the next population.
     """
     params = resolve_params("ga", spec.params, spec.num_agents)
     tournament = int(params["tournament_size"])
@@ -230,37 +241,26 @@ def run_ga(spec, objective, domain):
     g = int(fitness.argmin())
     best_agent = population[g].copy()
     best_fitness = float(fitness[g])
-
-    def select(values: list[float]) -> int:
-        # One scalar draw per contender: PCG64 hands out the same 32-bit
-        # halves as integers(n, size=tournament), so the stream is unchanged.
-        winner = int(rng.integers(n))
-        for _ in range(tournament - 1):
-            contender = int(rng.integers(n))
-            if values[contender] < values[winner]:
-                winner = contender
-        return winner
+    pairs = -(-(n - elitism) // 2)
+    rows = np.arange(2 * pairs)
+    columns = np.arange(d)
 
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
-        values = fitness.tolist()
-        children = np.empty((n, d))
-        children[:elitism] = population[np.argsort(fitness, kind="stable")[:elitism]]
-        k = elitism
-        while k < n:
-            first, second = select(values), select(values)
-            pair = children[k : k + 2]  # a single row when one slot is left
-            pair[0] = population[first]
-            pair[1:] = population[second]
-            if d >= 2 and rng.random() < params["crossover_rate"]:
-                point = int(rng.integers(1, d))
-                pair[0, point:] = population[second, point:]
-                pair[1:, point:] = population[first, point:]
-            for child in pair:
-                mask = rng.random(d) < params["mutation_rate"]
-                steps = rng.normal(0.0, sigma, size=d)
-                np.add(child, steps, out=child, where=mask)
-            k += len(pair)
+        contenders = rng.integers(n, size=(2 * pairs, tournament))
+        winners = contenders[rows, fitness[contenders].argmin(axis=1)]
+        kids = population[winners].reshape(pairs, 2, d)
+        if d >= 2:
+            crossed = rng.random(pairs) < params["crossover_rate"]
+            points = rng.integers(1, d, size=pairs)
+            tails = (columns >= points[:, None]) & crossed[:, None]
+            kids = np.where(tails[:, None, :], kids[:, ::-1], kids)
+        kids = kids.reshape(2 * pairs, d)
+        mask = rng.random((2 * pairs, d)) < params["mutation_rate"]
+        steps = rng.normal(0.0, sigma, size=(2 * pairs, d))
+        np.add(kids, steps, out=kids, where=mask)
+        elites = population[np.argsort(fitness, kind="stable")[:elitism]]
+        children = np.concatenate((elites, kids[: n - elitism]))
         population = np.clip(children, domain.lower, domain.upper, out=children)
         fitness = evaluate_rows(objective, population)
         g = int(fitness.argmin())

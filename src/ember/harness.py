@@ -12,13 +12,17 @@ fixed column set::
     algorithm,function,dimension,agents,max_iter,seed,best_fitness,
     execution_time_s,total_distance,distance_per_unit_time,iterations_run,status
 
-Optional per-run histories go to ``<output>/histories/<cell-key>.csv``.
+Beside it, ``<output>/cells.jsonl`` holds one JSON object per cell, in the
+same order: ``{"key", "derived_seed", "status", "message"}``, where the
+message says why a cell failed or was skipped. Optional per-run histories go
+to ``<output>/histories/<cell-key>.csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -278,17 +282,19 @@ def _skip_record(cell: _Cell) -> RunRecord:
 def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
     """Execute a grid and return its records in enumeration order.
 
-    With an output path, rows stream to ``results.csv`` as cells finish (in
-    enumeration order, so reruns are byte-identical) and histories are written
-    when requested. Failing cells become ``status=error`` records, and so do
-    the cells lost when a worker process dies (a broken pool fails every cell
-    still queued on it); the grid always runs to completion.
+    With an output path, rows stream to ``results.csv`` and ``cells.jsonl``
+    as cells finish (in enumeration order, so reruns are byte-identical) and
+    histories are written when requested. Failing cells become
+    ``status=error`` records, and so do the cells lost when a worker process
+    dies (a broken pool fails every cell still queued on it); the grid always
+    runs to completion.
     """
     cells = enumerate_cells(grid)
     out_dir = Path(grid.output) if grid.output else None
     histories_dir = None
     writer = None
     handle = None
+    log = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         if grid.save_histories:
@@ -297,6 +303,7 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
         handle = (out_dir / "results.csv").open("w", newline="")
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
+        log = (out_dir / "cells.jsonl").open("w")
 
     records: list[RunRecord] = []
     pending = {}
@@ -322,12 +329,17 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()
+                log.write(json.dumps({"key": record.cell_key, "derived_seed": cell.derived_seed,
+                                      "status": record.status, "message": record.message}) + "\n")
+                log.flush()
             records.append(record)
     finally:
         if executor is not None:
             executor.shutdown()
         if handle is not None:
             handle.close()
+        if log is not None:
+            log.close()
     return records
 
 

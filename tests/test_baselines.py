@@ -1,5 +1,6 @@
 """Reference optimizer tests: dispatch, convergence sanity, budget handling."""
 
+import math
 import statistics
 import time
 
@@ -199,7 +200,8 @@ def test_param_defaults_are_not_mutated_by_overrides():
 
 
 # ---------------------------------------------------------------------------
-# GA draw order: the offspring loop against its first, row-by-row form
+# GA draw order: the batched generation against a per-pair loop, and its
+# outcomes against the per-child algorithm it replaced
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,9 +230,11 @@ def test_scalar_integer_draws_replay_a_sized_draw(seed, n, tournament, between):
 
 
 def _reference_ga(spec, objective, domain):
-    """run_ga's population after each iteration, by its first offspring loop:
-    copied rows, one sized tournament draw, one_point_crossover, np.where
-    mutation, one clip of the assembled list."""
+    """GA's populations after each iteration, by its pre-batching algorithm:
+    per child, a sized tournament draw, then per pair a crossover gate and
+    point, then per child d mutation gates and d steps. The batched generation
+    draws the same quantities in a different order, so this is the reference
+    for its distribution of outcomes, not for its floats."""
     params = baselines.resolve_params("ga", spec.params, spec.num_agents)
     tournament, elitism = int(params["tournament_size"]), int(params["elitism"])
     rng = np.random.default_rng(spec.seed)
@@ -263,6 +267,48 @@ def _reference_ga(spec, objective, domain):
     return populations
 
 
+def _per_pair_ga(spec, objective, domain):
+    """GA's populations after each iteration, by a plain loop over pairs that
+    reads the arrays drawn in run_ga's documented order."""
+    params = baselines.resolve_params("ga", spec.params, spec.num_agents)
+    tournament, elitism = int(params["tournament_size"]), int(params["elitism"])
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.num_agents, domain.dimension
+    sigma = params["mutation_scale"] * (domain.upper - domain.lower)
+    population = rng.uniform(domain.lower, domain.upper, size=(n, d))
+    fitness = evaluate_rows(objective, population)
+    pairs = math.ceil((n - elitism) / 2)
+
+    def winner(contenders):
+        best = contenders[0]
+        for contender in contenders[1:]:
+            if fitness[contender] < fitness[best]:
+                best = contender
+        return population[best].copy()
+
+    populations = [population]
+    for _ in range(spec.max_iter):
+        contenders = rng.integers(n, size=(2 * pairs, tournament))
+        if d >= 2:
+            crossed = rng.random(pairs) < params["crossover_rate"]
+            points = rng.integers(1, d, size=pairs)
+        mask = rng.random((2 * pairs, d)) < params["mutation_rate"]
+        steps = rng.normal(0.0, sigma, size=(2 * pairs, d))
+        next_population = [population[i].copy()
+                           for i in np.argsort(fitness, kind="stable")[:elitism]]
+        for p in range(pairs):
+            children = [winner(contenders[2 * p]), winner(contenders[2 * p + 1])]
+            if d >= 2 and crossed[p]:
+                children = one_point_crossover(*children, point=int(points[p]))
+            for k, child in zip((2 * p, 2 * p + 1), children):
+                if len(next_population) < n:
+                    next_population.append(np.where(mask[k], child + steps[k], child))
+        population = np.clip(np.array(next_population), domain.lower, domain.upper)
+        fitness = evaluate_rows(objective, population)
+        populations.append(population)
+    return populations
+
+
 @pytest.mark.parametrize("n,d,params", [
     (1, 2, {"elitism": 0, "crossover_rate": 1.0}),
     (2, 1, {"elitism": 1, "crossover_rate": 1.0}),
@@ -270,14 +316,57 @@ def _reference_ga(spec, objective, domain):
     (7, 5, {"elitism": 2, "crossover_rate": 0.5, "tournament_size": 3}),
     (12, 20, {}),
     (9, 3, {"elitism": 3, "crossover_rate": 1.0, "mutation_rate": 1.0, "tournament_size": 5}),
+    (4, 3, {"elitism": 4, "crossover_rate": 1.0}),
+    (3, 4, {"elitism": 0, "crossover_rate": 0.5, "tournament_size": 6}),
 ])
 def test_ga_offspring_loop_replays_its_reference(n, d, params):
-    objective = make_objective("rastrigin", d)
-    domain = domain_box("rastrigin", d)
     spec = OptimizerSpec(name="ga", params=params, max_iter=15, num_agents=n, seed=n * d)
+    _assert_replays(spec, make_objective("rastrigin", d), domain_box("rastrigin", d))
+
+
+def test_ga_tournament_ties_go_to_the_earlier_contender():
+    # a coarse objective gives distinct points equal values
+    spec = OptimizerSpec(name="ga", params={"tournament_size": 4}, max_iter=15,
+                         num_agents=10, seed=3)
+    _assert_replays(spec, lambda x: float(np.floor(x @ x)), BOX)
+
+
+def _assert_replays(spec, objective, domain):
     steps = baselines.run_ga.__wrapped__(spec, objective, domain)
-    expected = _reference_ga(spec, objective, domain)
     next(steps)
-    for reference in expected[1:]:
+    for reference in _per_pair_ga(spec, objective, domain)[1:]:
         population, _, _ = next(steps)
         assert population.tobytes() == reference.tobytes()
+
+
+def _rank_sum_z(first, second):
+    """Wilcoxon rank-sum z of ``first`` against ``second`` (ties averaged)."""
+    values = np.concatenate([first, second])
+    ranks = np.empty(len(values))
+    ranks[np.argsort(values, kind="stable")] = np.arange(1.0, len(values) + 1.0)
+    for value in np.unique(values):
+        tied = values == value
+        ranks[tied] = ranks[tied].mean()
+    n1, n2 = len(first), len(second)
+    mean = n1 * (n1 + n2 + 1) / 2
+    return (ranks[:n1].sum() - mean) / math.sqrt(n1 * n2 * (n1 + n2 + 1) / 12)
+
+
+@pytest.mark.parametrize("function,d", [("sphere", 2), ("sphere", 20),
+                                        ("rastrigin", 2), ("rastrigin", 20)])
+def test_batched_ga_matches_the_per_child_algorithm_in_distribution(function, d):
+    # the batched generation changed GA's draw order, not its operators: over
+    # independent seeds its best values must be indistinguishable from the
+    # per-child algorithm's
+    objective = make_objective(function, d)
+    domain = domain_box(function, d)
+
+    def spec(seed):
+        return OptimizerSpec(name="ga", max_iter=40, num_agents=12, seed=seed)
+
+    before = [min(evaluate_rows(objective, p).min()
+                  for p in _reference_ga(spec(seed), objective, domain))
+              for seed in range(30)]
+    after = [run_optimizer(spec(seed), objective, domain).best_fitness
+             for seed in range(30, 60)]
+    assert abs(_rank_sum_z(after, before)) < 3

@@ -58,34 +58,34 @@ FINGERPRINTS = {
         "d7d130521f66966a87c0f2bab16fcc95d0da1e6c56b70279fa29ad20afff7146",
     ),
     ("ga", "rastrigin", 2): (
-        "0x1.0c8147ce27d70p+0",
-        "0x1.c1b746f3da413p+8",
-        "2d7c786c8d67ea97a5db7b356b13dbf9d93316fe84e64aef3f9a4d768cca02ff",
+        "0x1.6c2c147f76940p+0",
+        "0x1.2c7b85ecc62dcp+8",
+        "dba52e88b0ad2e9448b5637aab83c8d6ec0061dcf423feea57e79f0ff7002777",
     ),
     ("ga", "rastrigin", 20): (
-        "0x1.65a30fc483780p+7",
-        "0x1.f9087fd22cb21p+10",
-        "202130b9c5e23a78389246f05f7e6afd06dd2b37489fa63f2ddf218c1a72e692",
+        "0x1.4140082a8b6f1p+7",
+        "0x1.45f742f0c61dap+11",
+        "34c2400df3d9130c0bbcd42ba8c58b30c9af474982eef30033040b26efca8a33",
     ),
     ("ga", "sphere", 2): (
-        "0x1.28f756ae7f2c4p-8",
-        "0x1.0e5a3ad5becd0p+8",
-        "04f0f0d18502373a5dfc0145ad7a037606d68d8645194ee15e6d53c85f2b47e3",
+        "0x1.1c7eb73e4276cp-9",
+        "0x1.ad99000fa108fp+7",
+        "08c3e49be69492c9071b25413af883ac5b8d5a1eaad072f1cf260fdccf25b795",
     ),
     ("ga", "sphere", 20): (
-        "0x1.74c7417504a2bp+4",
-        "0x1.1f8b5241c5e78p+11",
-        "d1f1605469a3e6b501fb00707f550b629f1a7a6d435267d54080077d71dadf70",
+        "0x1.eda8e47fd5058p+4",
+        "0x1.00ac290b1a8afp+11",
+        "ad9ce702a660c61a713356bfcf21dfbf80cb510e8cf10cf29ca0f6a756e18f15",
     ),
     ("ga", "whitley", 2): (
-        "0x1.5928a248a0ecbp-1",
-        "0x1.0f5a47a61b652p+9",
-        "f1adabdfcfa046ed68a2f71ee3635de11442e66a3af1db34fb6bf88972e6639c",
+        "0x1.07e310f29a7b8p+1",
+        "0x1.b083fbf1ce5e3p+8",
+        "aa1a5401d8dd5e4dcebefd60fdd346a32f35a03a9452b1beed6ff46af8be4cc4",
     ),
     ("ga", "whitley", 20): (
-        "0x1.b8517e19ba166p+28",
-        "0x1.69ae4746e3d0ap+12",
-        "1b681fbef6dbbd91242dcc7c0491e42bb0e10e455369ca9c94f1b4e0af7c0414",
+        "0x1.7ea0392b37a74p+25",
+        "0x1.0fae127f43d35p+12",
+        "1075bee6be40d64b67931aa6b6fa86ef5e072c63e2bdb7ac355400091e2c83a5",
     ),
     ("hs", "rastrigin", 2): (
         "0x1.22fa2ebef6331p+3",

@@ -380,9 +380,11 @@ def _whitley_expression(x):
 def test_whitley_buffers_match_plain_expression(dimension):
     whitley = get_function("whitley").evaluator
     rng = np.random.default_rng(dimension)
-    points = rng.uniform(-10.0, 10.0, size=(60, dimension)) * rng.choice([1e-3, 1.0], size=(60, 1))
+    points = rng.uniform(-10.0, 10.0, size=(62, dimension)) * rng.choice([1e-3, 1.0], size=(62, 1))
     expected = np.array([_whitley_expression(x) for x in points])
     assert np.array([whitley(x) for x in points]).tobytes() == expected.tobytes()
+    # 60 rows fill whole blocks at d = 50; 62 leave a partial last block
+    assert whitley(points[:60]).tobytes() == expected[:60].tobytes()
     assert whitley(points).tobytes() == expected.tobytes()
     assert whitley(points[:0]).shape == (0,)
 

@@ -303,6 +303,40 @@ def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys):
     assert {row["status"] for row in rows} <= {"ok", "error"}
     assert (out / "summary.csv").read_text().startswith(",".join(SUMMARY_COLUMNS))
     assert set(json.loads((out / "rankings.json").read_text())) >= {"global_counts"}
+    # the reason reaches disk: cells.jsonl names the broken pool
+    cells = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+    assert [cell["status"] for cell in cells] == [row["status"] for row in rows]
+    assert all(cell["message"].startswith("BrokenProcessPool: ") for cell in cells[:2])
+
+
+def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
+    registry_objective = harness.make_objective
+
+    def objective(function, dimension):
+        if function == "sphere":
+            return lambda x: float("nan")
+        return registry_objective(function, dimension)
+
+    monkeypatch.setattr(harness, "make_objective", objective)
+    grid = tiny_grid(algorithms=("pso",), seeds=(0,), output=str(tmp_path))
+    records = run_grid(grid)
+    cells = [json.loads(line) for line in (tmp_path / "cells.jsonl").read_text().splitlines()]
+    assert cells == [
+        {"key": record.cell_key, "derived_seed": cell.derived_seed,
+         "status": record.status, "message": record.message}
+        for record, cell in zip(records, enumerate_cells(grid))
+    ]
+    by_setting = {(r.function, r.dimension): cell for r, cell in zip(records, cells)}
+    assert by_setting["sphere", 2]["status"] == "error"
+    assert by_setting["sphere", 2]["message"].startswith("EvaluationError: ")
+    assert by_setting["booth", 20] == {
+        "key": "pso__booth__d20__a8__i25__s0",
+        "derived_seed": derive_cell_seed(0, "pso__booth__d20__a8__i25__s0"),
+        "status": "skipped",
+        "message": "booth is not tagged scalable; dimension 20 skipped",
+    }
+    assert by_setting["booth", 2]["status"] == "ok"
+    assert by_setting["booth", 2]["message"] == ""
 
 
 def test_failed_future_message_names_the_exception(monkeypatch):
