@@ -130,8 +130,12 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     return params
 
 
-def _initial_population(rng, domain: DomainBox, size: int) -> np.ndarray:
-    return rng.uniform(domain.lower, domain.upper, size=(size, domain.dimension))
+def _initial_population(rng, domain: DomainBox, size: int, objective):
+    """Uniform rows and their fitness, with a copy of the best row and its fitness."""
+    population = rng.uniform(domain.lower, domain.upper, size=(size, domain.dimension))
+    fitness = evaluate_rows(objective, population)
+    g = int(fitness.argmin())
+    return population, fitness, population[g].copy(), float(fitness[g])
 
 
 @driven
@@ -146,14 +150,10 @@ def run_pso(spec, objective, domain):
     w, c1, c2 = params["inertia"], params["cognitive"], params["social"]
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
-    positions = _initial_population(rng, domain, n)
+    positions, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
     velocities = np.zeros((n, d))
-    fitness = evaluate_rows(objective, positions)
     personal_best = positions.copy()
     personal_fitness = fitness.copy()
-    g = int(fitness.argmin())
-    best_agent = positions[g].copy()
-    best_fitness = float(fitness[g])
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         r1 = rng.random((n, d))
@@ -236,11 +236,7 @@ def run_ga(spec, objective, domain):
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
-    population = _initial_population(rng, domain, n)
-    fitness = evaluate_rows(objective, population)
-    g = int(fitness.argmin())
-    best_agent = population[g].copy()
-    best_fitness = float(fitness[g])
+    population, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
     pairs = -(-(n - elitism) // 2)
     rows = np.arange(2 * pairs)
     columns = np.arange(d)
@@ -287,11 +283,7 @@ def run_hs(spec, objective, domain):
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
-    memory = _initial_population(rng, domain, n)
-    fitness = evaluate_rows(objective, memory)
-    g = int(fitness.argmin())
-    best_agent = memory[g].copy()
-    best_fitness = float(fitness[g])
+    memory, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         harmony = np.empty(d)
@@ -317,8 +309,6 @@ def run_hs(spec, objective, domain):
 
 def _run_ffo(spec, objective, domain) -> RunOutcome:
     params = resolve_params("ffo", spec.params, spec.num_agents)
-    if spec.max_iter < 1:
-        raise ConfigError("ffo needs max_iter >= 1 (its iteration counter is 1-based)")
     config = ffo.FFOConfig(
         dimension=domain.dimension,
         num_agents=spec.num_agents,

@@ -110,7 +110,6 @@ class FFOState:
     best_global_agent: np.ndarray
     best_global_fitness: float
     step_size: float
-    mutation_rates: np.ndarray
     no_improve_counter: int = 0
     iteration: int = 1
 
@@ -159,11 +158,10 @@ def initialize(config: FFOConfig, objective) -> FFOState:
         best_global_agent=agents[best].copy(),
         best_global_fitness=float(fitness[best]),
         step_size=config.step_size,
-        mutation_rates=np.full(config.num_agents, 0.1),
     )
 
 
-def evaluate_agents(state: FFOState, objective) -> np.ndarray:
+def evaluate_agents(state: FFOState, objective) -> None:
     """Evaluate the whole population and update the global best.
 
     A strictly better population minimum replaces the global best and resets
@@ -179,7 +177,6 @@ def evaluate_agents(state: FFOState, objective) -> np.ndarray:
         state.no_improve_counter = 0
     else:
         state.no_improve_counter += 1
-    return fitness
 
 
 def one_point_crossover(parent1, parent2, rng=None, point=None):
@@ -207,18 +204,18 @@ def one_point_crossover(parent1, parent2, rng=None, point=None):
     return child1, child2
 
 
-def local_search(state: FFOState, agent: np.ndarray, index: int, objective) -> np.ndarray:
+def local_search(state: FFOState, agent: np.ndarray, objective) -> np.ndarray:
     """Annealing refinement of one agent.
 
     Runs 10 + 5*(counter // 100) candidate steps, each a Gaussian move with
-    scale step_size * mutation_rates[index] from the current incumbent.
+    scale step_size * 0.1 from the current incumbent.
     Strictly better candidates are always accepted; worse ones with the
     annealing probability at the current iteration's temperature. Candidates
     are evaluated where they land, without clipping.
     """
     cfg = state.config
     temperature = current_temperature(cfg, state.iteration)
-    scale = state.step_size * float(state.mutation_rates[index])
+    scale = state.step_size * 0.1
     candidates = 10 + 5 * (state.no_improve_counter // 100)
     incumbent = agent
     incumbent_fitness = evaluate_checked(objective, agent)
@@ -276,7 +273,7 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
         # clipped when its agent was updated, and crossover only exchanges them.
         displaced = False
         if rng.random() < cfg.mutation_probability:
-            row[:] = local_search(state, row, i, objective)
+            row[:] = local_search(state, row, objective)
             displaced = True
         if stagnant:
             row[:] = apply_perturbation(state, row, intensity)

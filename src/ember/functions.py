@@ -5,9 +5,9 @@ search domain, dimensionality class, attribute tags, and published optimum.
 Evaluators are plain numpy. Each takes a float array of shape ``(..., d)``
 and reduces over the last axis: a single point of shape ``(d,)`` gives a
 scalar, a batch of shape ``(n, d)`` gives ``n`` values, each bit for bit the
-value of that row alone. Evaluators are marked
-:func:`~ember.recording.batch_capable`, so the optimizers evaluate a whole
-population in one call.
+value of that row alone. The registry marks each evaluator
+:func:`~ember.recording.batch_capable` when it registers it, so the
+optimizers evaluate a whole population in one call.
 
 Two notions of scalability coexist here and should not be confused:
 
@@ -167,7 +167,6 @@ def _expand_cyclic(pair):
     the cyclic sum works on whole coordinate arrays, with array ``**``.
     """
 
-    @batch_capable
     def wrapped(x: np.ndarray):
         if x.shape[-1] == 2:
             return pair(*_split(x))
@@ -176,7 +175,6 @@ def _expand_cyclic(pair):
     return wrapped
 
 
-@batch_capable
 def ackley(x: np.ndarray):
     """Nearly flat outer region with a central funnel; minimum 0 at the origin."""
     n = x.shape[-1]
@@ -188,20 +186,17 @@ def ackley(x: np.ndarray):
     )
 
 
-@batch_capable
 def alpine(x: np.ndarray):
     """Sum of |x sin x + 0.1 x|; kinked, separable, minimum 0 at the origin."""
     return np.add.reduce(np.abs(x * np.sin(x) + 0.1 * x), axis=-1)
 
 
-@batch_capable
 def booth(x: np.ndarray):
     """Smooth quadratic valley; minimum 0 at (1, 3)."""
     a, b, power = _split(x)
     return power(a + 2.0 * b - 7.0, 2) + power(2.0 * a + b - 5.0, 2)
 
 
-@batch_capable
 def cross_in_tray(x: np.ndarray):
     """Cross-shaped ridges with four symmetric minima of -2.06261."""
     a, b, power = _split(x)
@@ -209,7 +204,6 @@ def cross_in_tray(x: np.ndarray):
     return -0.0001 * power(inner + 1.0, 0.1)
 
 
-@batch_capable
 def drop_wave(x: np.ndarray):
     """Radial ripples around a single global minimum of -1 at the origin."""
     a, b, power = _split(x)
@@ -217,7 +211,6 @@ def drop_wave(x: np.ndarray):
     return -(1.0 + np.cos(12.0 * np.sqrt(rr))) / (0.5 * rr + 2.0)
 
 
-@batch_capable
 def griewank(x: np.ndarray):
     """Quadratic bowl modulated by an oscillatory product; minimum 0 at the origin."""
     i = np.arange(1.0, x.shape[-1] + 1.0)
@@ -228,21 +221,18 @@ def griewank(x: np.ndarray):
     )
 
 
-@batch_capable
 def himmelblau(x: np.ndarray):
     """Four distinct global minimizers, all with value 0."""
     a, b, power = _split(x)
     return power(power(a, 2) + b - 11.0, 2) + power(a + power(b, 2) - 7.0, 2)
 
 
-@batch_capable
 def holder_table(x: np.ndarray):
     """Table-shaped surface with four symmetric minima of -19.2085."""
     a, b, power = _split(x)
     return -np.abs(np.sin(a) * np.cos(b) * np.exp(np.abs(1.0 - np.hypot(a, b) / np.pi)))
 
 
-@batch_capable
 def levy_n13(x: np.ndarray):
     """Oscillatory two-variable surface; minimum 0 at (1, 1)."""
     a, b, power = _split(x)
@@ -253,52 +243,44 @@ def levy_n13(x: np.ndarray):
     )
 
 
-@batch_capable
 def matyas(x: np.ndarray):
     """Shallow coupled quadratic; minimum 0 at the origin."""
     a, b, power = _split(x)
     return 0.26 * (power(a, 2) + power(b, 2)) - 0.48 * a * b
 
 
-@batch_capable
 def michalewicz(x: np.ndarray):
     """Steep separable valleys (steepness m = 10); minima depend on dimension."""
     i = np.arange(1.0, x.shape[-1] + 1.0)
     return -np.add.reduce(np.sin(x) * np.sin(i * x**2 / np.pi) ** 20, axis=-1)
 
 
-@batch_capable
 def rastrigin(x: np.ndarray):
     """Regular lattice of local minima on a quadratic bowl; minimum 0 at the origin."""
     return 10.0 * x.shape[-1] + np.add.reduce(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
-@batch_capable
 def rosenbrock(x: np.ndarray):
     """Curved narrow valley; minimum 0 at the all-ones point."""
     head, tail = x[..., :-1], x[..., 1:]
     return np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-@batch_capable
 def schwefel(x: np.ndarray):
     """Deep deceptive wells far from the origin; minimum near 420.9687 per coordinate."""
     return 418.9829 * x.shape[-1] - np.add.reduce(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
-@batch_capable
 def sphere(x: np.ndarray):
     """Plain quadratic bowl; minimum 0 at the origin."""
     return np.add.reduce(x**2, axis=-1)
 
 
-@batch_capable
 def styblinski_tang(x: np.ndarray):
     """Separable quartic with one global well per coordinate; -39.16599 per coordinate."""
     return 0.5 * np.add.reduce(x**4 - 16.0 * x**2 + 5.0 * x, axis=-1)
 
 
-@batch_capable
 def three_hump_camel(x: np.ndarray):
     """Three local minima; global minimum 0 at the origin."""
     a, b, power = _split(x)
@@ -335,7 +317,6 @@ def _whitley(x: np.ndarray, ridge: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce(y.reshape(len(x), -1), axis=1)
 
 
-@batch_capable
 def whitley(x: np.ndarray):
     """Composition of Rosenbrock ridges through a Griewank-style envelope.
 
@@ -359,7 +340,6 @@ def whitley(x: np.ndarray):
     return values.reshape(x.shape[:-1])
 
 
-@batch_capable
 def zakharov(x: np.ndarray):
     """Quadratic bowl plus even powers of a weighted sum; minimum 0 at the origin."""
     i = np.arange(1.0, x.shape[-1] + 1.0)
@@ -395,13 +375,16 @@ def _points_2d(*points):
     return minimizers
 
 
-def _no_minimizers(n: int) -> list[np.ndarray]:
-    return []
-
-
 def _fixed_value(v: float | None):
     def min_value(n: int) -> float | None:
         return v
+
+    return min_value
+
+
+def _value_2d(v: float):
+    def min_value(n: int) -> float | None:
+        return v if n == 2 else None
 
     return min_value
 
@@ -423,7 +406,7 @@ def _register(
 ):
     fn = BenchmarkFunction(
         name=name,
-        evaluator=evaluator,
+        evaluator=batch_capable(evaluator),
         domain=domain,
         dim_class=dim_class,
         attributes=frozenset(tags),
@@ -483,22 +466,10 @@ _register(
     {_UNI, _NONSEP, _DIFF, _CONT, _SCAL},
     _easom_value, _const_vector(np.pi), min_dimension=2, tolerance=1e-4,
 )
-
-
-def _eggholder_value(n: int) -> float | None:
-    return -959.6407 if n == 2 else None
-
-
-def _eggholder_minimizers(n: int) -> list[np.ndarray]:
-    if n != 2:
-        return []
-    return [np.array([512.0, 404.2319])]
-
-
 _register(
     "eggholder", eggholder_nd, (-512.0, 512.0), SCALABLE,
     {_MULTI, _NONSEP, _NONDIFF, _CONT, _SCAL},
-    _eggholder_value, _eggholder_minimizers, min_dimension=2, tolerance=1e-3,
+    _value_2d(-959.6407), _points_2d((512.0, 404.2319)), min_dimension=2, tolerance=1e-3,
 )
 _register(
     "expanded_schaffer_f6", expanded_schaffer_f6_nd, (-10.0, 10.0), SCALABLE,
@@ -510,22 +481,10 @@ _register(
     {_UNI, _NONSEP, _DIFF, _CONT, _SCAL},
     _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
 )
-
-
-def _goldstein_value(n: int) -> float | None:
-    return 3.0 if n == 2 else None
-
-
-def _goldstein_minimizers(n: int) -> list[np.ndarray]:
-    if n != 2:
-        return []
-    return [np.array([0.0, -1.0])]
-
-
 _register(
     "goldstein_price", goldstein_price_nd, (-2.0, 2.0), SCALABLE,
     {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _goldstein_value, _goldstein_minimizers, min_dimension=2, tolerance=1e-4,
+    _value_2d(3.0), _points_2d((0.0, -1.0)), min_dimension=2, tolerance=1e-4,
 )
 _register(
     "griewank", griewank, (-600.0, 600.0), SCALABLE,
@@ -566,7 +525,7 @@ _register(
 _register(
     "michalewicz", michalewicz, (0.0, np.pi), SCALABLE,
     {_MULTI, _SEP, _DIFF, _CONT},
-    _fixed_value(None), _no_minimizers, tolerance=1e-3,
+    _fixed_value(None), _points_2d(), tolerance=1e-3,
 )
 _register(
     "rastrigin", rastrigin, (-5.12, 5.12), SCALABLE,

@@ -24,8 +24,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
@@ -109,7 +110,6 @@ class RunRecord:
     iterations_run: int | None = None
     status: str = "ok"
     message: str = ""
-    history_path: str | None = None
     history: list[float] | None = field(default=None, repr=False)
 
     @property
@@ -136,12 +136,40 @@ class RunRecord:
         return ["" if v is None else str(v) for v in values]
 
 
+def _names(values) -> tuple[str, ...]:
+    if isinstance(values, (str, dict)):
+        raise TypeError
+    names = tuple(values)
+    if not all(isinstance(v, str) for v in names):
+        raise TypeError
+    return names
+
+
+def _ints(values) -> tuple[int, ...]:
+    if isinstance(values, (str, dict)):
+        raise TypeError
+    return tuple(int(v) for v in values)
+
+
+def _path(value) -> str | None:
+    return None if value is None else os.fspath(value)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Full experiment description; see the module docstring for semantics."""
+    """Full experiment description; see the module docstring for semantics.
 
-    algorithms: tuple[str, ...]
-    functions: tuple[str, ...]
+    This is the only grid schema: :func:`grid_from_mapping` passes a config
+    file's keys straight to it. ``algorithms`` and ``functions`` default to
+    every optimizer and every registry function. ``__post_init__`` converts
+    each value to its field's type and checks it; a value that cannot be
+    converted raises :class:`ConfigError` starting with the field name.
+    """
+
+    algorithms: tuple[str, ...] = field(default_factory=lambda: tuple(optimizer_names()))
+    functions: tuple[str, ...] = field(
+        default_factory=lambda: tuple(f.name for f in list_functions())
+    )
     dimensions: tuple[int, ...] = (2,)
     agent_counts: tuple[int, ...] = (100,)
     iteration_counts: tuple[int, ...] = (500,)
@@ -153,30 +181,39 @@ class ExperimentGrid:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "dimensions", tuple(int(d) for d in self.dimensions))
-        object.__setattr__(self, "agent_counts", tuple(int(a) for a in self.agent_counts))
-        object.__setattr__(self, "iteration_counts", tuple(int(i) for i in self.iteration_counts))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name, convert, kind, floor in (  # floor: the smallest value allowed
+            ("algorithms", _names, "a list of names", None),
+            ("functions", _names, "a list of names", None),
+            ("dimensions", _ints, "a list of integers", 1),
+            ("agent_counts", _ints, "a list of integers", 1),
+            ("iteration_counts", _ints, "a list of integers", 1),
+            ("seeds", _ints, "a list of integers", 0),
+            ("master_seed", int, "an integer", None),
+            ("output", _path, "a path", None),
+            ("save_histories", bool, "a boolean", None),
+            ("jobs", int, "an integer", 1),
+        ):
+            value = getattr(self, name)
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+            object.__setattr__(self, name, value)
+            items = value if isinstance(value, tuple) else (value,)
+            if not items:
+                raise ConfigError(f"{name} must be non-empty")
+            if floor is not None and min(items) < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
         known = set(optimizer_names())
         for name in self.algorithms:
             if name not in known:
                 raise ConfigError(f"unknown optimizer {name!r} in grid")
         for name in self.functions:
             get_function(name)
-        for label, values, floor in (
-            ("algorithms", self.algorithms, None),
-            ("functions", self.functions, None),
-            ("dimensions", self.dimensions, 1),
-            ("agent_counts", self.agent_counts, 1),
-            ("iteration_counts", self.iteration_counts, 1),
-            ("seeds", self.seeds, 0),
+        if not isinstance(self.params, dict) or any(
+            not isinstance(v, dict) for v in self.params.values()
         ):
-            if not values:
-                raise ConfigError(f"grid {label} must be non-empty")
-            if floor is not None and any(v < floor for v in values):
-                raise ConfigError(f"grid {label} must all be >= {floor}, got {values}")
+            raise ConfigError("params must map optimizer names to parameter objects")
         for algo, overrides in self.params.items():
             if algo not in known:
                 raise ConfigError(f"params.{algo}: unknown optimizer")
@@ -185,8 +222,6 @@ class ExperimentGrid:
                 resolve_params(algo, overrides, min(self.agent_counts))
             except ConfigError as exc:
                 raise ConfigError(f"params.{algo}.{exc}") from None
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -325,7 +360,7 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             else:
                 record = _execute_cell(cell)
             if record.history is not None and histories_dir is not None:
-                record.history_path = str(export_history(record, histories_dir))
+                export_history(record, histories_dir)
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()
@@ -569,76 +604,39 @@ PRESETS: dict[str, dict] = {
     "paper-full": _preset([f.name for f in list_functions()], [2, 20, 50]),
 }
 
-_GRID_KEYS = {
-    "preset",
-    "algorithms",
-    "functions",
-    "dimensions",
-    "agent_counts",
-    "iteration_counts",
-    "seeds",
-    "master_seed",
-    "params",
-    "output",
-    "save_histories",
-    "jobs",
-}
+_GRID_KEYS = {f.name for f in fields(ExperimentGrid)} | {"preset"}
 
 
 def grid_from_mapping(config: dict) -> ExperimentGrid:
     """Build a grid from a plain mapping (the JSON config file shape).
 
-    A ``preset`` key supplies defaults that explicit keys override.
-    ``functions`` is either a list of names or ``{"filter": [tags]}``.
-    Unknown keys are rejected with their path.
+    The keys are :class:`ExperimentGrid`'s fields plus ``preset``, whose
+    defaults explicit keys override. ``functions`` may also take the form
+    ``{"filter": [tags]}``. Unknown keys are rejected with their path.
     """
     if not isinstance(config, dict):
         raise ConfigError("grid config must be a JSON object")
     for key in config:
         if key not in _GRID_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    merged: dict = {}
-    preset_name = config.get("preset")
+    merged = dict(config)
+    preset_name = merged.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(
                 f"preset: unknown preset {preset_name!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        merged.update(PRESETS[preset_name])
-    for key, value in config.items():
-        if key != "preset":
-            merged[key] = value
+        merged = {**PRESETS[preset_name], **merged}
 
     functions = merged.get("functions")
-    if functions is None:
-        functions = [f.name for f in list_functions()]
-    elif isinstance(functions, dict):
+    if isinstance(functions, dict):
         extra = set(functions) - {"filter"}
         if extra:
             raise ConfigError(f"functions.{sorted(extra)[0]}: unknown key")
         tags = functions.get("filter", [])
-        if not isinstance(tags, (list, tuple)):
+        if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
             raise ConfigError("functions.filter must be a list of tags")
-        functions = [f.name for f in list_functions(set(tags))]
-        if not functions:
+        merged["functions"] = [f.name for f in list_functions(set(tags))]
+        if not merged["functions"]:
             raise ConfigError(f"functions.filter {sorted(tags)} matches no functions")
-    elif not isinstance(functions, (list, tuple)):
-        raise ConfigError("functions must be a list of names or {'filter': [tags]}")
-
-    params = merged.get("params", {})
-    if not isinstance(params, dict) or any(not isinstance(v, dict) for v in params.values()):
-        raise ConfigError("params must map optimizer names to parameter objects")
-
-    return ExperimentGrid(
-        algorithms=tuple(merged.get("algorithms", optimizer_names())),
-        functions=tuple(functions),
-        dimensions=tuple(merged.get("dimensions", [2])),
-        agent_counts=tuple(merged.get("agent_counts", [100])),
-        iteration_counts=tuple(merged.get("iteration_counts", [500])),
-        seeds=tuple(merged.get("seeds", [0])),
-        master_seed=int(merged.get("master_seed", 0)),
-        params=params,
-        output=merged.get("output"),
-        save_histories=bool(merged.get("save_histories", False)),
-        jobs=int(merged.get("jobs", 1)),
-    )
+    return ExperimentGrid(**merged)

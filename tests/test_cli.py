@@ -186,6 +186,12 @@ def test_grid_config_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["grid", str(bad_param)])
     assert code == 2 and "params.pso.bogus" in err
 
+    for key, value in [("dimensions", 5), ("jobs", "many"), ("seeds", ["a"]),
+                       ("master_seed", "x"), ("dimensions", [None]), ("output", 5)]:
+        code, _, err = run_cli(capsys, ["grid", str(write_config(tmp_path, **{key: value}))])
+        assert code == 2 and err.startswith(f"error: {key} must be"), (key, value, err)
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("algo,key,value", [
     ("sa", "proposal_scale", -1),

@@ -153,7 +153,6 @@ def test_initialize_population_and_best():
     values = [sphere(a) for a in state.agents]
     assert state.best_global_fitness == min(values)
     assert np.array_equal(state.best_global_agent, state.agents[int(np.argmin(values))])
-    assert np.all(state.mutation_rates == 0.1)
     assert state.iteration == 1 and state.no_improve_counter == 0
 
 
@@ -192,7 +191,7 @@ def test_local_search_greedy_at_zero_temperature():
         seen.append(value)
         return value
 
-    result = local_search(state, state.agents[0].copy(), 0, recording)
+    result = local_search(state, state.agents[0].copy(), recording)
     assert sphere(result) == min(seen)
 
 
@@ -205,11 +204,11 @@ def test_local_search_candidate_count_grows_with_stagnation():
         calls.append(1)
         return sphere(x)
 
-    local_search(state, state.agents[0].copy(), 0, counting)
+    local_search(state, state.agents[0].copy(), counting)
     assert len(calls) == 11  # incumbent + 10 candidates
     calls.clear()
     state.no_improve_counter = 250
-    local_search(state, state.agents[0].copy(), 0, counting)
+    local_search(state, state.agents[0].copy(), counting)
     assert len(calls) == 21  # incumbent + 10 + 5 * (250 // 100)
 
 

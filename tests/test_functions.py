@@ -224,6 +224,18 @@ def test_two_dimensional_native_forms_have_min_dimension_two():
             evaluate(name, [0.0])
 
 
+@pytest.mark.parametrize("name,value,points", [
+    ("eggholder", -959.6407, [[512.0, 404.2319]]),
+    ("goldstein_price", 3.0, [[0.0, -1.0]]),
+    ("michalewicz", None, []),
+])
+def test_known_minimum_at_two_dimensions(name, value, points):
+    stored, minimizers = known_minimum(name, 2)
+    assert stored == value
+    assert [m.tolist() for m in minimizers] == points
+    assert all(m.dtype == np.float64 for m in minimizers)
+
+
 def test_eggholder_and_goldstein_price_high_dim_minima_unpublished():
     for name in ("eggholder", "goldstein_price"):
         assert known_minimum(name, 20) == (None, [])

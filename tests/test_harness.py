@@ -1,6 +1,7 @@
 """Experiment harness tests: enumeration, CSV contracts, aggregation, ranking."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -122,6 +123,23 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(params={"pso": {"bogus": 1.0}})
     with pytest.raises(ConfigError):
         tiny_grid(params={"warp_drive": {}})
+    with pytest.raises(ConfigError, match="^agent_counts must be a list of integers"):
+        tiny_grid(agent_counts=8)
+    with pytest.raises(ConfigError, match="^algorithms must be a list of names"):
+        tiny_grid(algorithms="pso")
+    with pytest.raises(ConfigError, match="^params must map"):
+        tiny_grid(params={"pso": 1})
+
+
+def test_empty_mapping_is_the_default_grid():
+    built, default = grid_from_mapping({}), ExperimentGrid()
+    for f in dataclasses.fields(ExperimentGrid):
+        assert getattr(built, f.name) == getattr(default, f.name), f.name
+    assert default.algorithms == tuple(baselines.optimizer_names())
+    assert len(default.functions) == 24
+    converted = tiny_grid(algorithms=iter(["pso"]), seeds=range(3), jobs="2")
+    assert converted.algorithms == ("pso",) and converted.seeds == (0, 1, 2)
+    assert converted.jobs == 2
 
 
 def test_grid_from_mapping_rejects_unknown_keys_with_paths():

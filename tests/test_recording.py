@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ember.errors import EvaluationError
-from ember.functions import make_objective
+from ember.functions import list_functions, make_objective
 from ember.recording import TrajectoryTracker, batch_capable, evaluate_rows, path_length
 
 
@@ -17,8 +17,10 @@ def _rows(n=6, d=4, seed=0):
 
 
 def test_registry_objectives_are_batch_capable():
-    assert make_objective("sphere", 3).batch_capable
-    assert make_objective("booth", 2).batch_capable
+    for fn in list_functions():
+        for d in (2, 20):
+            if fn.accepts_dimension(d):
+                assert make_objective(fn.name, d).batch_capable, (fn.name, d)
 
 
 def test_batched_and_per_row_paths_agree():
