@@ -106,27 +106,19 @@ class BenchmarkFunction:
 # its rows evaluated one at a time.
 #
 # One numpy detail shapes the two-variable kernels: a float64 scalar raised to
-# a power goes through C ``pow``, while an array squares by exact product and
-# takes other powers from a vectorized ``pow``; the two differ in the last bit
-# for a fraction of inputs. Formulas that a single point evaluates on scalars
-# therefore take their ``power`` from ``_split``: plain ``**`` for a point,
-# ``_pow`` (scalar semantics element by element) for a batch.
-
-
-def _pow(base: np.ndarray, exponent):
-    """``base ** exponent`` computed element by element as for numpy float64 scalars."""
-    return np.array([v**exponent for v in base.ravel()]).reshape(base.shape)
+# a power goes through C ``pow``, while an array ``**`` squares by exact
+# product and takes other powers from a vectorized ``pow``; the two differ in
+# the last bit for a fraction of inputs. ``np.float_power`` calls C ``pow``
+# element by element, so it matches the scalar. Formulas that a single point
+# evaluates on scalars therefore take their ``power`` from ``_split``:
+# ``operator.pow`` for a point, ``np.float_power`` for a batch.
 
 
 def _split(x: np.ndarray):
-    """The two coordinates of a point or batch, and the power that matches them.
-
-    One point gives numpy scalars, whose ``**`` is already C ``pow``; a batch
-    gives coordinate arrays, raised through :func:`_pow`.
-    """
+    """The two coordinates of a point or batch, and the power that matches them."""
     if x.ndim == 1:
         return x[0], x[1], operator.pow
-    return x[..., 0], x[..., 1], _pow
+    return x[..., 0], x[..., 1], np.float_power
 
 
 def _pair_easom(a, b, power):
@@ -344,7 +336,7 @@ def zakharov(x: np.ndarray):
     """Quadratic bowl plus even powers of a weighted sum; minimum 0 at the origin."""
     i = np.arange(1.0, x.shape[-1] + 1.0)
     s = np.add.reduce(0.5 * i * x, axis=-1)
-    power = operator.pow if x.ndim == 1 else _pow  # s is a scalar for one point
+    power = operator.pow if x.ndim == 1 else np.float_power  # s is a scalar for one point
     return np.add.reduce(x**2, axis=-1) + power(s, 2) + power(s, 4)
 
 

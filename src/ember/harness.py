@@ -1,10 +1,13 @@
 """Experiment harness: grids of runs, result records, summaries, rankings.
 
 A grid is the cartesian product of algorithms, functions, dimensions, agent
-counts, iteration budgets, and seed labels. Cells whose function does not
-carry the ``scalable`` tag are skipped at dimensions other than 2 (recorded,
-not silently dropped). Each executed cell derives its RNG seed from the grid
-master seed and the cell key, so any subset of a grid reproduces exactly.
+counts, iteration budgets, and seed labels. Each cell is a :class:`RunRecord`
+named by its six axis values; :attr:`RunRecord.cell_key` is the one spelling
+of that name. Cells whose function does not carry the ``scalable`` tag are
+skipped at dimensions other than 2 (recorded, not silently dropped). Every
+other per-cell fact comes from the grid when the cell runs: its parameters,
+whether it keeps a history, and its RNG seed, derived from the grid master
+seed and the cell key, so any subset of a grid reproduces exactly.
 
 Results stream to ``<output>/results.csv`` in enumeration order with the
 fixed column set::
@@ -20,13 +23,17 @@ to ``<output>/histories/<cell-key>.csv``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
@@ -88,14 +95,13 @@ def derive_cell_seed(master_seed: int, cell_key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _cell_key(algorithm, function, dimension, agents, max_iter, seed) -> str:
-    # Seed-bearing: derive_cell_seed hashes this string, so it must not change.
-    return f"{algorithm}__{function}__d{dimension}__a{agents}__i{max_iter}__s{seed}"
-
-
 @dataclass
 class RunRecord:
-    """One grid cell's outcome. Metric fields are None for skips and errors."""
+    """One grid cell and its outcome.
+
+    Metric fields are None until the cell runs, and stay None for skips and
+    errors.
+    """
 
     algorithm: str
     function: str
@@ -114,9 +120,9 @@ class RunRecord:
 
     @property
     def cell_key(self) -> str:
-        return _cell_key(
-            self.algorithm, self.function, self.dimension, self.agents, self.max_iter, self.seed
-        )
+        # Seed-bearing: derive_cell_seed hashes this string, so it must not change.
+        return (f"{self.algorithm}__{self.function}__d{self.dimension}__a{self.agents}"
+                f"__i{self.max_iter}__s{self.seed}")
 
     def csv_row(self) -> list[str]:
         values = (
@@ -145,10 +151,26 @@ def _names(values) -> tuple[str, ...]:
     return names
 
 
+def _int(value) -> int:
+    # exact conversions only: a bool or a dropped fraction would run another grid
+    if isinstance(value, bool):
+        raise TypeError
+    number = int(value)
+    if isinstance(value, numbers.Real) and number != value:
+        raise ValueError
+    return number
+
+
 def _ints(values) -> tuple[int, ...]:
     if isinstance(values, (str, dict)):
         raise TypeError
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError
+    return value
 
 
 def _path(value) -> str | None:
@@ -162,8 +184,10 @@ class ExperimentGrid:
     This is the only grid schema: :func:`grid_from_mapping` passes a config
     file's keys straight to it. ``algorithms`` and ``functions`` default to
     every optimizer and every registry function. ``__post_init__`` converts
-    each value to its field's type and checks it; a value that cannot be
-    converted raises :class:`ConfigError` starting with the field name.
+    each value to its field's type and checks it. Conversions are exact: an
+    integer field takes no boolean and no number with a fraction, and
+    ``save_histories`` takes only a boolean. A value that cannot be converted
+    raises :class:`ConfigError` starting with the field name.
     """
 
     algorithms: tuple[str, ...] = field(default_factory=lambda: tuple(optimizer_names()))
@@ -188,10 +212,10 @@ class ExperimentGrid:
             ("agent_counts", _ints, "a list of integers", 1),
             ("iteration_counts", _ints, "a list of integers", 1),
             ("seeds", _ints, "a list of integers", 0),
-            ("master_seed", int, "an integer", None),
+            ("master_seed", _int, "an integer", None),
             ("output", _path, "a path", None),
-            ("save_histories", bool, "a boolean", None),
-            ("jobs", int, "an integer", 1),
+            ("save_histories", _bool, "a boolean", None),
+            ("jobs", _int, "an integer", 1),
         ):
             value = getattr(self, name)
             try:
@@ -224,93 +248,54 @@ class ExperimentGrid:
                 raise ConfigError(f"params.{algo}.{exc}") from None
 
 
-@dataclass(frozen=True)
-class _Cell:
-    algorithm: str
-    function: str
-    dimension: int
-    agents: int
-    max_iter: int
-    seed: int
-    derived_seed: int
-    params: dict
-    collect_history: bool
-    accepted: bool
+def enumerate_cells(grid: ExperimentGrid) -> list[RunRecord]:
+    """All grid cells in deterministic enumeration order, as records to run.
 
-    def record(self, **outcome) -> RunRecord:
-        return RunRecord(self.algorithm, self.function, self.dimension, self.agents,
-                         self.max_iter, self.seed, **outcome)
-
-    def failed(self, exc: Exception) -> RunRecord:
-        return self.record(status="error", message=f"{type(exc).__name__}: {exc}")
-
-
-def _cell_accepted(function_name: str, dimension: int) -> bool:
-    # High-dimensional regimes pair only with functions tagged scalable; the
-    # direct API is less strict, this mirrors the published experiment design.
-    if dimension == 2:
-        return True
-    return "scalable" in get_function(function_name).attributes
-
-
-def enumerate_cells(grid: ExperimentGrid) -> list[_Cell]:
-    """All grid cells in deterministic enumeration order."""
+    High-dimensional regimes pair only with functions tagged scalable (the
+    published experiment design; the direct API is less strict), so a cell
+    whose function is not tagged scalable comes back already skipped at any
+    dimension other than 2.
+    """
     cells = []
-    for algo in grid.algorithms:
-        overrides = dict(grid.params.get(algo, {}))
-        for fn in grid.functions:
-            for dim in grid.dimensions:
-                accepted = _cell_accepted(fn, dim)
-                for agents in grid.agent_counts:
-                    for iters in grid.iteration_counts:
-                        for seed in grid.seeds:
-                            key = _cell_key(algo, fn, dim, agents, iters, seed)
-                            cells.append(
-                                _Cell(
-                                    algorithm=algo,
-                                    function=fn,
-                                    dimension=dim,
-                                    agents=agents,
-                                    max_iter=iters,
-                                    seed=seed,
-                                    derived_seed=derive_cell_seed(grid.master_seed, key),
-                                    params=overrides,
-                                    collect_history=grid.save_histories,
-                                    accepted=accepted,
-                                )
-                            )
+    for axes in itertools.product(grid.algorithms, grid.functions, grid.dimensions,
+                                  grid.agent_counts, grid.iteration_counts, grid.seeds):
+        cell = RunRecord(*axes)
+        if cell.dimension != 2 and "scalable" not in get_function(cell.function).attributes:
+            cell.status = "skipped"
+            cell.message = (f"{cell.function} is not tagged scalable; "
+                            f"dimension {cell.dimension} skipped")
+        cells.append(cell)
     return cells
 
 
-def _execute_cell(cell: _Cell) -> RunRecord:
+def _failed(cell: RunRecord, exc: Exception) -> RunRecord:
+    return replace(cell, status="error", message=f"{type(exc).__name__}: {exc}")
+
+
+def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
+    """Run one cell with its parameters, derived seed and history flag from ``grid``."""
     try:
         objective = make_objective(cell.function, cell.dimension)
         domain = domain_box(cell.function, cell.dimension)
         spec = OptimizerSpec(
             name=cell.algorithm,
-            params=cell.params,
+            params=grid.params.get(cell.algorithm, {}),
             max_iter=cell.max_iter,
             num_agents=cell.agents,
-            seed=cell.derived_seed,
+            seed=derive_cell_seed(grid.master_seed, cell.cell_key),
         )
         outcome = run_optimizer(spec, objective, domain)
         speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     except Exception as exc:  # a failing cell must not abort the grid
-        return cell.failed(exc)
-    return cell.record(
+        return _failed(cell, exc)
+    return replace(
+        cell,
         best_fitness=outcome.best_fitness,
         execution_time=outcome.execution_time,
         total_distance=outcome.total_distance,
         distance_per_unit_time=speed,
         iterations_run=outcome.iterations_run,
-        history=list(outcome.fitness_history) if cell.collect_history else None,
-    )
-
-
-def _skip_record(cell: _Cell) -> RunRecord:
-    return cell.record(
-        status="skipped",
-        message=f"{cell.function} is not tagged scalable; dimension {cell.dimension} skipped",
+        history=list(outcome.fitness_history) if grid.save_histories else None,
     )
 
 
@@ -325,56 +310,47 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
     runs to completion.
     """
     cells = enumerate_cells(grid)
-    out_dir = Path(grid.output) if grid.output else None
-    histories_dir = None
-    writer = None
-    handle = None
-    log = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if grid.save_histories:
-            histories_dir = out_dir / "histories"
-            histories_dir.mkdir(exist_ok=True)
-        handle = (out_dir / "results.csv").open("w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(RESULT_COLUMNS)
-        log = (out_dir / "cells.jsonl").open("w")
-
+    execute = functools.partial(_execute_cell, grid)
     records: list[RunRecord] = []
-    pending = {}
-    executor = None
-    try:
+    with contextlib.ExitStack() as stack:
+        histories_dir = writer = None
+        if grid.output:
+            out_dir = Path(grid.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if grid.save_histories:
+                histories_dir = out_dir / "histories"
+                histories_dir.mkdir(exist_ok=True)
+            handle = stack.enter_context((out_dir / "results.csv").open("w", newline=""))
+            writer = csv.writer(handle)
+            writer.writerow(RESULT_COLUMNS)
+            log = stack.enter_context((out_dir / "cells.jsonl").open("w"))
+        pending = {}
         if grid.jobs > 1:
             executor = ProcessPoolExecutor(max_workers=grid.jobs)
+            stack.callback(executor.shutdown)
             for index, cell in enumerate(cells):
-                if cell.accepted:
-                    pending[index] = executor.submit(_execute_cell, cell)
+                if cell.status != "skipped":
+                    pending[index] = executor.submit(execute, cell)
         for index, cell in enumerate(cells):
-            if not cell.accepted:
-                record = _skip_record(cell)
-            elif executor is not None:
+            if cell.status == "skipped":
+                record = cell
+            elif index in pending:
                 try:
                     record = pending[index].result()
                 except Exception as exc:  # e.g. BrokenProcessPool after a worker died
-                    record = cell.failed(exc)
+                    record = _failed(cell, exc)
             else:
-                record = _execute_cell(cell)
+                record = execute(cell)
             if record.history is not None and histories_dir is not None:
                 export_history(record, histories_dir)
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()
-                log.write(json.dumps({"key": record.cell_key, "derived_seed": cell.derived_seed,
+                seed = derive_cell_seed(grid.master_seed, record.cell_key)
+                log.write(json.dumps({"key": record.cell_key, "derived_seed": seed,
                                       "status": record.status, "message": record.message}) + "\n")
                 log.flush()
             records.append(record)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-        if handle is not None:
-            handle.close()
-        if log is not None:
-            log.close()
     return records
 
 

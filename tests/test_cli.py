@@ -187,7 +187,10 @@ def test_grid_config_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "params.pso.bogus" in err
 
     for key, value in [("dimensions", 5), ("jobs", "many"), ("seeds", ["a"]),
-                       ("master_seed", "x"), ("dimensions", [None]), ("output", 5)]:
+                       ("master_seed", "x"), ("dimensions", [None]), ("output", 5),
+                       # lossy values: each would run a different grid than it names
+                       ("save_histories", "no"), ("dimensions", [2.7]), ("jobs", 1.9),
+                       ("seeds", [True])]:
         code, _, err = run_cli(capsys, ["grid", str(write_config(tmp_path, **{key: value}))])
         assert code == 2 and err.startswith(f"error: {key} must be"), (key, value, err)
         assert not (tmp_path / "out").exists()

@@ -1,7 +1,8 @@
 """Pinned run fingerprints.
 
-Every optimizer on sphere, rastrigin and whitley at d = 2 and d = 20, with a
-fixed seed and budget, must reproduce these exact values: the best fitness
+Every optimizer on sphere, rastrigin and whitley at d = 2 and d = 20, and on
+the two-variable goldstein_price and cross_in_tray at d = 2, with a fixed
+seed and budget, must reproduce these exact values: the best fitness
 and the total path distance (as ``float.hex``) and the sha256 of the fitness
 history's float64 bytes. A change that moves any float in a run shows up
 here as a failure; a deliberate drift must update the table and say so.
@@ -27,6 +28,16 @@ SEED = 7
 
 # (algorithm, function, dimension): (best_fitness, total_distance, history sha256)
 FINGERPRINTS = {
+    ("ffo", "cross_in_tray", 2): (
+        "-0x1.0610690b96805p+1",
+        "0x1.4017a4aa557fep+12",
+        "0bdf7e778e32d19fa7b289456478ca98a826b6a756e355ae33cfd52a26753b4c",
+    ),
+    ("ffo", "goldstein_price", 2): (
+        "0x1.f40c58d64885dp+1",
+        "0x1.c5451da386e56p+9",
+        "01b5f427c79b8bb691d89bf90105e540c588b4cb6ec86ee409a06b72de8d86a8",
+    ),
     ("ffo", "rastrigin", 2): (
         "0x1.480ff925b4b60p+2",
         "0x1.363a95b494eaap+11",
@@ -56,6 +67,16 @@ FINGERPRINTS = {
         "0x1.d17c719757b0ep+29",
         "0x1.06b8c7c3580ddp+14",
         "d7d130521f66966a87c0f2bab16fcc95d0da1e6c56b70279fa29ad20afff7146",
+    ),
+    ("ga", "cross_in_tray", 2): (
+        "-0x1.073e7fc2ece7ep+1",
+        "0x1.6f1035d18e94ap+9",
+        "35ff13a819bb42aed233b570641caeffc44abe5f6508fb251dfbc4e56e4fecd1",
+    ),
+    ("ga", "goldstein_price", 2): (
+        "0x1.68cab7c15b509p+5",
+        "0x1.9f77145575ac8p+6",
+        "4f6bb2118158e80c3917e468c3cc9b5d0609b9ba0f6d781bf111a3ef6d9b5575",
     ),
     ("ga", "rastrigin", 2): (
         "0x1.6c2c147f76940p+0",
@@ -87,6 +108,16 @@ FINGERPRINTS = {
         "0x1.0fae127f43d35p+12",
         "1075bee6be40d64b67931aa6b6fa86ef5e072c63e2bdb7ac355400091e2c83a5",
     ),
+    ("hs", "cross_in_tray", 2): (
+        "-0x1.fd218cb586346p+0",
+        "0x1.0b9127d90b60cp+8",
+        "6f5eb88a38929b985c82315d8443a4a048223e50f8118e2cfeeb097cb60e664f",
+    ),
+    ("hs", "goldstein_price", 2): (
+        "0x1.8be38c9558e54p+6",
+        "0x1.6ca514489d0bdp+5",
+        "471f6512a8cfba31b5aec192dc3c4d8b3e4edc22e7f1688934b26e5054cf9be8",
+    ),
     ("hs", "rastrigin", 2): (
         "0x1.22fa2ebef6331p+3",
         "0x1.3783d2fbfce3bp+7",
@@ -117,6 +148,16 @@ FINGERPRINTS = {
         "0x1.06cf73a30c279p+10",
         "de662bf569de42ef8d05adbc546bc51d173aeb39aedae5bbcdc2f9a701a16537",
     ),
+    ("pso", "cross_in_tray", 2): (
+        "-0x1.08039cbe2760ap+1",
+        "0x1.8e9b337dd6c08p+9",
+        "5525b41cb6dcb2c47fa1f71c373824c2fef2f6fc6ed8afbadeb12c76e0ed3cdc",
+    ),
+    ("pso", "goldstein_price", 2): (
+        "0x1.80005984f3dc0p+1",
+        "0x1.621ebb4b5b46ap+7",
+        "7d903504567733f164cf5737f97b7e8e776f5b4b6459197bc2e32c211f1122f1",
+    ),
     ("pso", "rastrigin", 2): (
         "0x1.b96a0bb6f4000p-7",
         "0x1.9ea2b0bf418a0p+8",
@@ -146,6 +187,16 @@ FINGERPRINTS = {
         "0x1.739e8b9cf0911p+17",
         "0x1.d62e4cd91894fp+11",
         "6cd2bbb8ecf9d0fcec140a4a61a315c0926a12457fb1b41d787d9ff31b6f4e60",
+    ),
+    ("sa", "cross_in_tray", 2): (
+        "-0x1.d457957e2c375p+0",
+        "0x1.4f6fe7a37e383p+6",
+        "3a6d73761ea8cc05c304da0c1a5e7449563279a80f896965eaf175a96e7740d0",
+    ),
+    ("sa", "goldstein_price", 2): (
+        "0x1.744c0c82f3d51p+3",
+        "0x1.6de6b70ded02ap+2",
+        "c61698b93fb50ce93ebb0a1396b1c50ca524d9489256538715381a7d4a9729b6",
     ),
     ("sa", "rastrigin", 2): (
         "0x1.3913cfdd52bf4p+3",

@@ -380,6 +380,18 @@ def test_batch_equals_row_by_row(name, dimension, data):
     assert stacked.tobytes() == one_by_one[:n].tobytes()
 
 
+@pytest.mark.parametrize("exponent", [2, 4, 6, 0.1])
+def test_float_power_matches_scalar_power(exponent):
+    # a batch in the two-variable kernels is raised by np.float_power, one
+    # point by numpy-scalar **; these are the exponents the registry uses
+    rng = np.random.default_rng(7)
+    base = rng.uniform(-1.0, 1.0, size=20_000) * rng.choice([1.0, 10.0, 500.0], size=20_000)
+    if exponent == 0.1:
+        base = np.abs(base)  # cross_in_tray raises a non-negative base
+    scalar = np.array([v**exponent for v in base])  # v is a numpy float64 scalar
+    assert np.float_power(base, exponent).tobytes() == scalar.tobytes()
+
+
 def _whitley_expression(x):
     # whitley as one broadcast expression, the form its buffered kernel replays
     ridge = (x[..., :, None] ** 2 - x[..., None, :]) ** 2

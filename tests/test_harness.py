@@ -235,15 +235,27 @@ def test_rerun_reproduces_deterministic_columns(tmp_path):
 
 
 def test_parallel_execution_matches_serial():
-    serial = run_grid(tiny_grid())
-    parallel = run_grid(tiny_grid(jobs=3))
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.cell_key == b.cell_key and a.status == b.status
-        if a.status == "ok":
-            assert a.best_fitness == b.best_fitness
-            assert a.total_distance == b.total_distance
-            assert a.iterations_run == b.iterations_run
+    # the tuned grid shows that parameters and the history flag reach the
+    # workers from the grid
+    tuned = {"params": {"pso": {"inertia": 0.3}}, "save_histories": True}
+    runs = []
+    for overrides in ({}, tuned):
+        serial = run_grid(tiny_grid(**overrides))
+        parallel = run_grid(tiny_grid(jobs=3, **overrides))
+        assert len(serial) == len(parallel)
+        for a, b in zip(serial, parallel):
+            assert a.cell_key == b.cell_key and a.status == b.status
+            if a.status == "ok":
+                assert a.best_fitness == b.best_fitness
+                assert a.total_distance == b.total_distance
+                assert a.iterations_run == b.iterations_run
+                assert a.history == b.history
+                assert (a.history is not None) == (overrides is tuned)
+        runs.append(serial)
+    pairs = [(a, b) for a, b in zip(*runs) if a.status == "ok"]
+    assert pairs and all(
+        (a.total_distance != b.total_distance) == (a.algorithm == "pso") for a, b in pairs
+    )
 
 
 def test_master_seed_changes_results():
@@ -340,9 +352,10 @@ def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
     records = run_grid(grid)
     cells = [json.loads(line) for line in (tmp_path / "cells.jsonl").read_text().splitlines()]
     assert cells == [
-        {"key": record.cell_key, "derived_seed": cell.derived_seed,
+        {"key": record.cell_key,
+         "derived_seed": derive_cell_seed(grid.master_seed, record.cell_key),
          "status": record.status, "message": record.message}
-        for record, cell in zip(records, enumerate_cells(grid))
+        for record in records
     ]
     by_setting = {(r.function, r.dimension): cell for r, cell in zip(records, cells)}
     assert by_setting["sphere", 2]["status"] == "error"
