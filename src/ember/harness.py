@@ -18,7 +18,10 @@ fixed column set::
 Beside it, ``<output>/cells.jsonl`` holds one JSON object per cell, in the
 same order: ``{"key", "derived_seed", "status", "message"}``, where the
 message says why a cell failed or was skipped. Optional per-run histories go
-to ``<output>/histories/<cell-key>.csv``.
+to ``<output>/histories/<cell-key>.csv``. A history lives in one place: in its
+file when the grid has an output directory (the returned record then carries
+``history=None``, so a grid's memory does not grow with its budget), otherwise
+on its record.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
 from .errors import ConfigError, EmberError, MetricError
@@ -153,7 +157,7 @@ def _names(values) -> tuple[str, ...]:
 
 def _int(value) -> int:
     # exact conversions only: a bool or a dropped fraction would run another grid
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise TypeError
     number = int(value)
     if isinstance(value, numbers.Real) and number != value:
@@ -304,7 +308,9 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
 
     With an output path, rows stream to ``results.csv`` and ``cells.jsonl``
     as cells finish (in enumeration order, so reruns are byte-identical) and
-    histories are written when requested. Failing cells become
+    histories are written when requested. A history lives in its file when
+    the grid has an output directory, and the returned record carries
+    ``history=None``; without one, the record keeps it. Failing cells become
     ``status=error`` records, and so do the cells lost when a worker process
     dies (a broken pool fails every cell still queued on it); the grid always
     runs to completion.
@@ -326,6 +332,9 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             log = stack.enter_context((out_dir / "cells.jsonl").open("w"))
         pending = {}
         if grid.jobs > 1:
+            # imported here: a serial grid, and ``import ember``, never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             executor = ProcessPoolExecutor(max_workers=grid.jobs)
             stack.callback(executor.shutdown)
             for index, cell in enumerate(cells):
@@ -336,13 +345,14 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
                 record = cell
             elif index in pending:
                 try:
-                    record = pending[index].result()
+                    record = pending.pop(index).result()
                 except Exception as exc:  # e.g. BrokenProcessPool after a worker died
                     record = _failed(cell, exc)
             else:
                 record = execute(cell)
             if record.history is not None and histories_dir is not None:
                 export_history(record, histories_dir)
+                record = replace(record, history=None)  # on disk now; keep the parent flat
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()

@@ -1,10 +1,15 @@
 """Experiment harness tests: enumeration, CSV contracts, aggregation, ranking."""
 
+import concurrent.futures
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -131,6 +136,11 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(params={"pso": 1})
 
 
+def test_grid_rejects_numpy_booleans_as_integers():
+    with pytest.raises(ConfigError, match="^seeds must be a list of integers"):
+        tiny_grid(seeds=[np.True_])
+
+
 def test_empty_mapping_is_the_default_grid():
     built, default = grid_from_mapping({}), ExperimentGrid()
     for f in dataclasses.fields(ExperimentGrid):
@@ -218,6 +228,48 @@ def test_history_files_written_for_ok_cells_only(tmp_path):
     assert sample[0] == "iteration,best_fitness"
     assert sample[1].startswith("1,")
     assert len(sample) == 26  # 25 iterations for the baselines
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_output_grid_keeps_each_history_in_its_file_only(tmp_path, jobs):
+    in_memory = run_grid(tiny_grid(jobs=jobs, save_histories=True))
+    on_disk = run_grid(tiny_grid(jobs=jobs, save_histories=True, output=str(tmp_path / "out")))
+    assert [r.cell_key for r in on_disk] == [r.cell_key for r in in_memory]
+    assert all(r.history is None for r in on_disk)
+    ok = [r for r in in_memory if r.status == "ok"]
+    assert ok and all(r.history for r in ok)
+    for record in ok:
+        path = tmp_path / "out" / "histories" / f"{record.cell_key}.csv"
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iteration", "best_fitness"]
+        assert [int(i) for i, _ in rows[1:]] == list(range(1, len(record.history) + 1))
+        assert [float(v) for _, v in rows[1:]] == record.history
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_grid_retains_no_history_once_written(tmp_path, jobs):
+    # a written history must not stay in the parent: the memory a finished
+    # grid holds grows by a record's few hundred bytes per cell, not by its budget
+    def retained(seeds):
+        grid = ExperimentGrid(algorithms=("sa",), functions=("sphere",), dimensions=(2,),
+                              agent_counts=(2,), iteration_counts=(2000,),
+                              seeds=tuple(range(seeds)), output=str(tmp_path / f"s{seeds}"),
+                              save_histories=True, jobs=jobs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = run_grid(grid)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in records] == ["ok"] * seeds
+        return held
+
+    retained(4)  # warm-up: first-use caches and imports
+    per_cell = (retained(16) - retained(4)) / 12
+    assert per_cell < 4096, f"{per_cell:.0f} bytes retained per extra cell"
 
 
 def test_rerun_reproduces_deterministic_columns(tmp_path):
@@ -387,12 +439,21 @@ def test_failed_future_message_names_the_exception(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     records = run_grid(tiny_grid(jobs=2, functions=("sphere",), dimensions=(2,)))
     assert [r.status for r in records] == ["error"] * 4
     assert {r.message for r in records} == {
         "BrokenProcessPool: a child process terminated abruptly"
     }
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by the first grid that runs with jobs > 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    probe = "import sys, ember; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
