@@ -19,6 +19,7 @@ the domain width and exposed as a named parameter.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -93,12 +94,32 @@ PARAM_DEFAULTS: dict[str, dict] = {
 }
 
 
-# The smallest value each parameter can run with; GA's elitism is also capped
-# by the population, and FFOConfig checks FFO's parameters itself.
-_MINIMA = {
-    "sa": {"proposal_scale": 0},
-    "ga": {"tournament_size": 1, "elitism": 0, "mutation_scale": 0},
+# The interval each parameter must lie in. Besides, every number must be
+# finite, a parameter whose default is an int must be an exact integer, and a
+# boolean is not a number. GA's elitism is also capped by the population, and
+# FFOConfig checks FFO's ranges itself.
+_RANGES = {
+    "sa": {"initial_temp": "(0, inf)", "cooling_rate": "(0, 1)", "proposal_scale": "[0, inf)"},
+    "ga": {"crossover_rate": "[0, 1]", "mutation_rate": "[0, 1]", "tournament_size": "[1, inf)",
+           "elitism": "[0, inf)", "mutation_scale": "[0, inf)"},
+    "hs": {"memory_consideration_rate": "[0, 1]", "pitch_adjustment_rate": "[0, 1]",
+           "bandwidth_fraction": "[0, inf)"},
 }
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return math.isfinite(value) and (kind is float or value == int(value))
+
+
+def _in_range(value, interval: str) -> bool:
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
 
 
 def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
@@ -115,12 +136,13 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
             f"valid: {', '.join(sorted(defaults))}"
         )
     for key, value in overrides.items():
-        if isinstance(defaults[key], numbers.Real) and not isinstance(value, numbers.Real):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
+        kind = type(defaults[key])
+        if kind in _KINDS and not _is_kind(value, kind):
+            raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     params = {**defaults, **overrides}
-    for key, low in _MINIMA.get(name, {}).items():
-        if not params[key] >= low:
-            raise ConfigError(f"{key} must be >= {low}, got {params[key]!r}")
+    for key, interval in _RANGES.get(name, {}).items():
+        if not _in_range(params[key], interval):
+            raise ConfigError(f"{key} must lie in {interval}, got {params[key]!r}")
     if name == "ga" and params["elitism"] > num_agents:
         raise ConfigError(
             f"elitism must be <= num_agents ({num_agents}), got {params['elitism']!r}"

@@ -95,10 +95,7 @@ def cmd_run(args) -> int:
     objective = make_objective(args.fn, args.dim)
     domain = domain_box(args.fn, args.dim)
     outcome = run_optimizer(spec, objective, domain)
-    if outcome.execution_time > 0:
-        dput = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
-    else:
-        dput = 0.0
+    dput = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     print(f"function: {args.fn}")
     print(f"dimension: {args.dim}")
     print(f"algorithm: {args.algo}")
@@ -207,3 +204,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -80,14 +80,14 @@ class FFOConfig:
         lower, upper = self.bounds
         if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
             raise ConfigError(f"bounds must be finite with lower < upper, got {self.bounds}")
-        if not self.step_size > 0:
-            raise ConfigError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
         for name in ("crossover_probability", "mutation_probability"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
-        if not self.initial_temp > 0:
-            raise ConfigError(f"initial_temp must be positive, got {self.initial_temp}")
+        if not 0 < self.initial_temp < math.inf:
+            raise ConfigError(f"initial_temp must be positive and finite, got {self.initial_temp}")
         if not 0.0 < self.cooling_rate < 1.0:
             raise ConfigError(f"cooling_rate must lie in (0, 1), got {self.cooling_rate}")
         if not math.isfinite(self.target_fitness):

@@ -19,9 +19,10 @@ Beside it, ``<output>/cells.jsonl`` holds one JSON object per cell, in the
 same order: ``{"key", "derived_seed", "status", "message"}``, where the
 message says why a cell failed or was skipped. Optional per-run histories go
 to ``<output>/histories/<cell-key>.csv``. A history lives in one place: in its
-file when the grid has an output directory (the returned record then carries
-``history=None``, so a grid's memory does not grow with its budget), otherwise
-on its record.
+file when the grid has an output directory, otherwise on its record. The
+process that ran the cell writes the file and returns the record with
+``history=None``, so no history crosses to the parent and a grid's memory does
+not grow with its budget; a write that fails makes only that cell an error.
 """
 
 from __future__ import annotations
@@ -277,7 +278,11 @@ def _failed(cell: RunRecord, exc: Exception) -> RunRecord:
 
 
 def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
-    """Run one cell with its parameters, derived seed and history flag from ``grid``."""
+    """Run one cell with its parameters, derived seed and history flag from ``grid``.
+
+    With an output directory the cell writes its own history file and returns
+    ``history=None``; a failed write makes it an error record, like any failure.
+    """
     try:
         objective = make_objective(cell.function, cell.dimension)
         domain = domain_box(cell.function, cell.dimension)
@@ -290,42 +295,46 @@ def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
         )
         outcome = run_optimizer(spec, objective, domain)
         speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
+        record = replace(
+            cell,
+            best_fitness=outcome.best_fitness,
+            execution_time=outcome.execution_time,
+            total_distance=outcome.total_distance,
+            distance_per_unit_time=speed,
+            iterations_run=outcome.iterations_run,
+            history=list(outcome.fitness_history) if grid.save_histories else None,
+        )
+        if record.history is not None and grid.output:
+            export_history(record, Path(grid.output, "histories"))
+            record.history = None  # in its file now; the parent gets a flat record
     except Exception as exc:  # a failing cell must not abort the grid
         return _failed(cell, exc)
-    return replace(
-        cell,
-        best_fitness=outcome.best_fitness,
-        execution_time=outcome.execution_time,
-        total_distance=outcome.total_distance,
-        distance_per_unit_time=speed,
-        iterations_run=outcome.iterations_run,
-        history=list(outcome.fitness_history) if grid.save_histories else None,
-    )
+    return record
 
 
 def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
     """Execute a grid and return its records in enumeration order.
 
     With an output path, rows stream to ``results.csv`` and ``cells.jsonl``
-    as cells finish (in enumeration order, so reruns are byte-identical) and
-    histories are written when requested. A history lives in its file when
-    the grid has an output directory, and the returned record carries
-    ``history=None``; without one, the record keeps it. Failing cells become
-    ``status=error`` records, and so do the cells lost when a worker process
-    dies (a broken pool fails every cell still queued on it); the grid always
-    runs to completion.
+    as cells finish (in enumeration order, so reruns are byte-identical).
+    Requested histories are written by the process that ran each cell, into
+    ``histories/``, which is the only part of them this function handles: it
+    creates the directory. Without an output path the records keep their
+    histories. Failing cells become ``status=error`` records, and so do cells
+    whose history could not be written and the cells lost when a worker
+    process dies (a broken pool fails every cell still queued on it); the
+    grid always runs to completion.
     """
     cells = enumerate_cells(grid)
     execute = functools.partial(_execute_cell, grid)
     records: list[RunRecord] = []
     with contextlib.ExitStack() as stack:
-        histories_dir = writer = None
+        writer = None
         if grid.output:
             out_dir = Path(grid.output)
             out_dir.mkdir(parents=True, exist_ok=True)
             if grid.save_histories:
-                histories_dir = out_dir / "histories"
-                histories_dir.mkdir(exist_ok=True)
+                (out_dir / "histories").mkdir(exist_ok=True)
             handle = stack.enter_context((out_dir / "results.csv").open("w", newline=""))
             writer = csv.writer(handle)
             writer.writerow(RESULT_COLUMNS)
@@ -350,9 +359,6 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
                     record = _failed(cell, exc)
             else:
                 record = execute(cell)
-            if record.history is not None and histories_dir is not None:
-                export_history(record, histories_dir)
-                record = replace(record, history=None)  # on disk now; keep the parent flat
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()

@@ -73,6 +73,13 @@ def test_runners_reject_bad_parameter_values(name, key, value):
         run_named(name, max_iter=5, num_agents=5, params={key: value})
 
 
+def test_integer_valued_floats_run_as_their_integers():
+    as_floats = run_named("ga", max_iter=5, num_agents=6,
+                          params={"tournament_size": 3.0, "elitism": 2.0})
+    as_ints = run_named("ga", max_iter=5, num_agents=6, params={"tournament_size": 3, "elitism": 2})
+    assert as_floats.fitness_history == as_ints.fitness_history
+
+
 @pytest.mark.parametrize("name", ["pso", "sa", "ga", "hs"])
 def test_history_shape_and_monotonicity(name):
     outcome = run_named(name, max_iter=80)

@@ -2,12 +2,21 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ember.cli as cli
 import ember.functions as functions
 from ember.cli import main
 from ember.functions import get_function
+from ember.recording import RunOutcome
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
@@ -79,6 +88,19 @@ def test_run_unknown_function_exits_two(capsys):
 def test_run_bad_dimension_exits_two(capsys):
     code, _, err = run_cli(capsys, ["run", "--fn", "booth", "--dim", "7"])
     assert code == 2
+
+
+def test_run_zero_time_distance_rate_is_the_grid_metric_error(capsys, monkeypatch):
+    # one policy for distance per unit time: a zero-time run is a metric error
+    # here too, as it is for a grid cell
+    def instant(spec, objective, domain):
+        return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
+
+    monkeypatch.setattr(cli, "run_optimizer", instant)
+    code, out, err = run_cli(capsys, ["run", "--fn", "sphere", "--iters", "5"])
+    assert code == 3
+    assert "execution time must be positive" in err
+    assert "distance_per_unit_time" not in out
 
 
 def test_run_evaluation_error_exits_three(capsys, monkeypatch):
@@ -202,6 +224,22 @@ def test_grid_config_errors_exit_two(capsys, tmp_path):
     ("ga", "tournament_size", 0),
     ("ga", "elitism", 50),
     ("ffo", "cooling_rate", 2),
+    # out of range, or not finite
+    ("sa", "cooling_rate", 5.0),
+    ("sa", "cooling_rate", float("nan")),
+    ("sa", "initial_temp", -1),
+    ("ga", "crossover_rate", 7),
+    ("ga", "mutation_rate", -1),
+    ("hs", "memory_consideration_rate", 3),
+    ("hs", "pitch_adjustment_rate", 1.5),
+    ("hs", "bandwidth_fraction", -0.5),
+    ("pso", "inertia", float("nan")),
+    ("ffo", "step_size", float("inf")),
+    ("ffo", "initial_temp", float("inf")),
+    # lossy: each would run with another value than the config names
+    ("ga", "tournament_size", 2.5),
+    ("ga", "elitism", True),
+    ("ffo", "no_improve_limit", 2.5),
 ])
 def test_grid_bad_parameter_value_exits_two_before_any_cell(capsys, tmp_path, algo, key, value):
     config = write_config(tmp_path, algorithms=[algo], agent_counts=[5],
@@ -257,3 +295,14 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "run" in out and "grid" in out and "validate" in out
+
+
+def test_module_entry_point_runs_a_grid(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    config = write_config(tmp_path, algorithms=["pso"], functions=["sphere"], seeds=[0])
+    result = subprocess.run([sys.executable, "-m", "ember.cli", "grid", str(config)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "cells: 1 total, 1 ok" in result.stdout
+    assert (tmp_path / "out" / "results.csv").read_text().count("\n") == 2

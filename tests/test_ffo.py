@@ -85,6 +85,8 @@ def test_perturbation_intensity_grows_past_threshold():
     dict(target_fitness=float("nan")),
     dict(perturbation_threshold=-1),
     dict(seed=-1),
+    dict(step_size=float("inf")),
+    dict(initial_temp=float("inf")),
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ import pytest
 
 import ember.baselines as baselines
 import ember.harness as harness
-from ember.baselines import PARAM_DEFAULTS, register_optimizer
+from ember.baselines import PARAM_DEFAULTS, register_optimizer, resolve_params
 from ember.cli import main as cli_main
 from ember.errors import ConfigError, MetricError
 from ember.harness import (
@@ -270,6 +270,68 @@ def test_run_grid_retains_no_history_once_written(tmp_path, jobs):
     retained(4)  # warm-up: first-use caches and imports
     per_cell = (retained(16) - retained(4)) / 12
     assert per_cell < 4096, f"{per_cell:.0f} bytes retained per extra cell"
+
+
+def test_execute_cell_writes_its_history_and_returns_none(tmp_path):
+    # the process that runs a cell writes its history, so none crosses to the parent
+    grid = tiny_grid(save_histories=True, output=str(tmp_path))
+    cell = enumerate_cells(grid)[0]
+    in_memory = harness._execute_cell(dataclasses.replace(grid, output=None), cell)
+    record = harness._execute_cell(grid, cell)
+    assert record.status == "ok" and record.history is None
+    for name in ("best_fitness", "total_distance", "iterations_run"):
+        assert getattr(record, name) == getattr(in_memory, name)
+    with (tmp_path / "histories" / f"{cell.cell_key}.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "best_fitness"]
+    assert [float(v) for _, v in rows[1:]] == in_memory.history
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_history_write_fails_only_its_cell(tmp_path, capsys, jobs):
+    # a directory where a history file belongs: the write fails even as root
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "algorithms": ["pso", "sa"], "functions": ["sphere"], "dimensions": [2],
+        "agent_counts": [5], "iteration_counts": [10], "seeds": [0, 1],
+        "save_histories": True, "jobs": jobs,
+    }))
+    out = tmp_path / "out"
+    blocked = "pso__sphere__d2__a5__i10__s1"
+    (out / "histories" / f"{blocked}.csv").mkdir(parents=True)
+    code = cli_main(["grid", str(config), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Traceback" not in captured.err
+    cells = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+    assert [cell["key"].split("__")[0] for cell in cells] == ["pso", "pso", "sa", "sa"]
+    with (out / "results.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == [cell["status"] for cell in cells]
+    for cell, row in zip(cells, rows):
+        if cell["key"] == blocked:
+            assert cell["status"] == "error" and row["best_fitness"] == ""
+            assert cell["message"].startswith("IsADirectoryError: ")
+        else:
+            assert cell["status"] == "ok", cell
+            assert (out / "histories" / f"{cell['key']}.csv").is_file()
+    assert (out / "summary.csv").read_text().startswith(",".join(SUMMARY_COLUMNS))
+    assert set(json.loads((out / "rankings.json").read_text())) >= {"global_counts"}
+
+
+def test_presets_default_and_boundary_parameters_still_build():
+    for name in PRESETS:
+        grid_from_mapping({"preset": name})
+    for algo, defaults in PARAM_DEFAULTS.items():
+        assert resolve_params(algo, defaults, 10) == defaults  # defaults pass their own checks
+    grid_from_mapping({"agent_counts": [2], "params": {
+        "sa": {"cooling_rate": 0.999, "proposal_scale": 0, "initial_temp": 1e-9},
+        "ga": {"crossover_rate": 1, "mutation_rate": 0.0, "tournament_size": 2.0, "elitism": 2},
+        "hs": {"memory_consideration_rate": 1.0, "pitch_adjustment_rate": 0,
+               "bandwidth_fraction": 0.0},
+        "pso": {"inertia": -0.5, "cognitive": 0},
+        "ffo": {"no_improve_limit": 5.0, "use_additional_conditions": True},
+    }})
 
 
 def test_rerun_reproduces_deterministic_columns(tmp_path):
