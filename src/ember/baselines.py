@@ -28,7 +28,7 @@ import numpy as np
 from . import ffo
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, driven, evaluate_checked, evaluate_rows
+from .recording import RunOutcome, driven, evaluate_checked, evaluate_rows, initial_population
 
 __all__ = [
     "OptimizerSpec",
@@ -152,14 +152,6 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     return params
 
 
-def _initial_population(rng, domain: DomainBox, size: int, objective):
-    """Uniform rows and their fitness, with a copy of the best row and its fitness."""
-    population = rng.uniform(domain.lower, domain.upper, size=(size, domain.dimension))
-    fitness = evaluate_rows(objective, population)
-    g = int(fitness.argmin())
-    return population, fitness, population[g].copy(), float(fitness[g])
-
-
 @driven
 def run_pso(spec, objective, domain):
     """Global-best particle swarm.
@@ -172,7 +164,9 @@ def run_pso(spec, objective, domain):
     w, c1, c2 = params["inertia"], params["cognitive"], params["social"]
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
-    positions, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
+    positions, fitness, best_agent, best_fitness = initial_population(
+        rng, domain.lower, domain.upper, (n, d), objective
+    )
     velocities = np.zeros((n, d))
     personal_best = positions.copy()
     personal_fitness = fitness.copy()
@@ -258,7 +252,9 @@ def run_ga(spec, objective, domain):
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
-    population, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
+    population, fitness, best_agent, best_fitness = initial_population(
+        rng, domain.lower, domain.upper, (n, d), objective
+    )
     pairs = -(-(n - elitism) // 2)
     rows = np.arange(2 * pairs)
     columns = np.arange(d)
@@ -305,7 +301,9 @@ def run_hs(spec, objective, domain):
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
-    memory, fitness, best_agent, best_fitness = _initial_population(rng, domain, n, objective)
+    memory, fitness, best_agent, best_fitness = initial_population(
+        rng, domain.lower, domain.upper, (n, d), objective
+    )
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         harmony = np.empty(d)

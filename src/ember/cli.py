@@ -7,9 +7,9 @@ Three subcommands::
     ember validate  evaluate every registry function at its known minimum
 
 Exit codes: 0 success, 1 validation or experiment failure, 2 configuration
-error, 3 evaluation error (an objective returned NaN or infinity). The
-``EMBER_SEED`` environment variable, when set, overrides the master seed of
-any grid config.
+error (a bad name, value or output path), 3 evaluation error (an objective
+returned NaN or infinity). The ``EMBER_SEED`` environment variable, when set,
+overrides the master seed of any grid config.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import OptimizerSpec, optimizer_names, run_optimizer
+from .baselines import optimizer_names
 from .errors import ConfigError, EmberError, EvaluationError
-from .functions import domain_box, get_function, make_objective, validate_registry
+from .functions import get_function, validate_registry
 from .harness import (
     CATEGORIES,
-    distance_per_unit_time,
+    RunRecord,
     grid_from_mapping,
     rank_top3,
+    run_cell,
     run_grid,
     summarize,
     write_history,
@@ -79,33 +80,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    get_function(args.fn)
     params = {}
     if args.conditions is not None:
         if args.algo != "ffo":
             raise ConfigError("--conditions only applies to the ffo optimizer")
         params["use_additional_conditions"] = args.conditions == "on"
-    spec = OptimizerSpec(
-        name=args.algo,
-        params=params,
-        max_iter=args.iters,
-        num_agents=args.agents,
-        seed=args.seed,
-    )
-    objective = make_objective(args.fn, args.dim)
-    domain = domain_box(args.fn, args.dim)
-    outcome = run_optimizer(spec, objective, domain)
-    dput = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
-    print(f"function: {args.fn}")
-    print(f"dimension: {args.dim}")
-    print(f"algorithm: {args.algo}")
-    print(f"seed: {args.seed}")
-    print(f"best_fitness: {outcome.best_fitness}")
+    cell = RunRecord(args.algo, args.fn, args.dim, args.agents, args.iters, args.seed)
+    record, outcome = run_cell(cell, params, args.seed)
+    print(f"function: {record.function}")
+    print(f"dimension: {record.dimension}")
+    print(f"algorithm: {record.algorithm}")
+    print(f"seed: {record.seed}")
+    print(f"best_fitness: {record.best_fitness}")
     print(f"best_agent: {outcome.best_agent.tolist()}")
-    print(f"iterations_run: {outcome.iterations_run}")
-    print(f"execution_time_s: {outcome.execution_time}")
-    print(f"total_distance: {outcome.total_distance}")
-    print(f"distance_per_unit_time: {dput}")
+    print(f"iterations_run: {record.iterations_run}")
+    print(f"execution_time_s: {record.execution_time}")
+    print(f"total_distance: {record.total_distance}")
+    print(f"distance_per_unit_time: {record.distance_per_unit_time}")
     if args.out is not None:
         path = write_history(outcome.fitness_history, args.out)
         print(f"history: {path}")
@@ -200,6 +191,9 @@ def main(argv=None) -> int:
     except EmberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
+    except OSError as exc:  # an output path that cannot be written, e.g. --out naming a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

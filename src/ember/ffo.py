@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .recording import driven, evaluate_checked, evaluate_rows
+from .recording import driven, evaluate_checked, evaluate_rows, initial_population
 
 __all__ = [
     "FFOConfig",
@@ -147,18 +147,10 @@ def initialize(config: FFOConfig, objective) -> FFOState:
     Raises :class:`EvaluationError` if any initial agent evaluates non-finite.
     """
     rng = np.random.default_rng(config.seed)
-    lower, upper = config.bounds
-    agents = rng.uniform(lower, upper, size=(config.num_agents, config.dimension))
-    fitness = evaluate_rows(objective, agents)
-    best = int(fitness.argmin())
-    return FFOState(
-        config=config,
-        rng=rng,
-        agents=agents,
-        best_global_agent=agents[best].copy(),
-        best_global_fitness=float(fitness[best]),
-        step_size=config.step_size,
+    agents, _, best_agent, best_fitness = initial_population(
+        rng, *config.bounds, (config.num_agents, config.dimension), objective
     )
+    return FFOState(config, rng, agents, best_agent, best_fitness, config.step_size)
 
 
 def evaluate_agents(state: FFOState, objective) -> None:

@@ -595,10 +595,11 @@ def list_functions(tags=None) -> list[BenchmarkFunction]:
 
 
 def _check_dimension(fn: BenchmarkFunction, n: int) -> None:
-    if fn.dim_class == FIXED_2D and n != 2:
+    if fn.accepts_dimension(n):
+        return
+    if fn.dim_class == FIXED_2D:
         raise DimensionError(f"{fn.name} is a fixed two-dimensional function, got dimension {n}")
-    if n < fn.min_dimension:
-        raise DimensionError(f"{fn.name} requires dimension >= {fn.min_dimension}, got {n}")
+    raise DimensionError(f"{fn.name} requires dimension >= {fn.min_dimension}, got {n}")
 
 
 def evaluate(name: str, x) -> float:
@@ -677,8 +678,7 @@ def validate_registry(
     rows: list[ValidationRow] = []
     for name in sorted(functions):
         fn = functions[name]
-        dims = [2] if fn.dim_class == FIXED_2D else [n for n in dimensions if n >= fn.min_dimension]
-        for n in dims:
+        for n in filter(fn.accepts_dimension, dimensions):
             tol = fn.tolerance_at(n) if tolerance is None else tolerance
             value = fn.min_value(n)
             minimizers = fn.minimizers(n)

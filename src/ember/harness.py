@@ -8,6 +8,8 @@ skipped at dimensions other than 2 (recorded, not silently dropped). Every
 other per-cell fact comes from the grid when the cell runs: its parameters,
 whether it keeps a history, and its RNG seed, derived from the grid master
 seed and the cell key, so any subset of a grid reproduces exactly.
+:func:`run_cell` is the one path from a cell to its metrics, for a grid cell
+and for ``ember run`` alike.
 
 Results stream to ``<output>/results.csv`` in enumeration order with the
 fixed column set::
@@ -44,6 +46,7 @@ import numpy as np
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
 from .errors import ConfigError, EmberError, MetricError
 from .functions import domain_box, get_function, known_minimum, list_functions, make_objective
+from .recording import RunOutcome
 
 __all__ = [
     "CATEGORIES",
@@ -59,6 +62,7 @@ __all__ = [
     "export_history",
     "grid_from_mapping",
     "rank_top3",
+    "run_cell",
     "run_grid",
     "summarize",
     "write_history",
@@ -277,6 +281,20 @@ def _failed(cell: RunRecord, exc: Exception) -> RunRecord:
     return replace(cell, status="error", message=f"{type(exc).__name__}: {exc}")
 
 
+def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOutcome]:
+    """Run ``cell``'s optimizer with ``params`` and RNG ``seed``: the record
+    filled in with its metrics (no history) and the run's outcome. Raises
+    whatever the run raises."""
+    objective = make_objective(cell.function, cell.dimension)
+    domain = domain_box(cell.function, cell.dimension)
+    spec = OptimizerSpec(cell.algorithm, params, cell.max_iter, cell.agents, seed)
+    outcome = run_optimizer(spec, objective, domain)
+    speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
+    return replace(cell, best_fitness=outcome.best_fitness, execution_time=outcome.execution_time,
+                   total_distance=outcome.total_distance, distance_per_unit_time=speed,
+                   iterations_run=outcome.iterations_run), outcome
+
+
 def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
     """Run one cell with its parameters, derived seed and history flag from ``grid``.
 
@@ -284,29 +302,13 @@ def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
     ``history=None``; a failed write makes it an error record, like any failure.
     """
     try:
-        objective = make_objective(cell.function, cell.dimension)
-        domain = domain_box(cell.function, cell.dimension)
-        spec = OptimizerSpec(
-            name=cell.algorithm,
-            params=grid.params.get(cell.algorithm, {}),
-            max_iter=cell.max_iter,
-            num_agents=cell.agents,
-            seed=derive_cell_seed(grid.master_seed, cell.cell_key),
-        )
-        outcome = run_optimizer(spec, objective, domain)
-        speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
-        record = replace(
-            cell,
-            best_fitness=outcome.best_fitness,
-            execution_time=outcome.execution_time,
-            total_distance=outcome.total_distance,
-            distance_per_unit_time=speed,
-            iterations_run=outcome.iterations_run,
-            history=list(outcome.fitness_history) if grid.save_histories else None,
-        )
-        if record.history is not None and grid.output:
-            export_history(record, Path(grid.output, "histories"))
-            record.history = None  # in its file now; the parent gets a flat record
+        seed = derive_cell_seed(grid.master_seed, cell.cell_key)
+        record, outcome = run_cell(cell, grid.params.get(cell.algorithm, {}), seed)
+        if grid.save_histories:
+            record.history = list(outcome.fitness_history)
+            if grid.output:
+                export_history(record, Path(grid.output, "histories"))
+                record.history = None  # in its file now; the parent gets a flat record
     except Exception as exc:  # a failing cell must not abort the grid
         return _failed(cell, exc)
     return record

@@ -68,6 +68,15 @@ def evaluate_rows(objective, rows) -> np.ndarray:
     return values
 
 
+def initial_population(rng, lower, upper, size, objective):
+    """Uniform rows of shape ``size`` and their checked values, with a copy of
+    the best row (the first index wins ties) and its value."""
+    rows = rng.uniform(lower, upper, size=size)
+    fitness = evaluate_rows(objective, rows)
+    best = int(fitness.argmin())
+    return rows, fitness, rows[best].copy(), float(fitness[best])
+
+
 class TrajectoryTracker:
     """Accumulates the Euclidean path length of appended positions.
 

@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through main() with explicit argv."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ember.cli as cli
 import ember.functions as functions
+import ember.harness as harness
 from ember.cli import main
 from ember.functions import get_function
+from ember.harness import derive_cell_seed
 from ember.recording import RunOutcome
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,11 +98,18 @@ def test_run_zero_time_distance_rate_is_the_grid_metric_error(capsys, monkeypatc
     def instant(spec, objective, domain):
         return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
 
-    monkeypatch.setattr(cli, "run_optimizer", instant)
+    monkeypatch.setattr(harness, "run_optimizer", instant)
     code, out, err = run_cli(capsys, ["run", "--fn", "sphere", "--iters", "5"])
     assert code == 3
     assert "execution time must be positive" in err
     assert "distance_per_unit_time" not in out
+
+
+def test_run_out_naming_a_directory_exits_two(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["run", "--fn", "sphere", "--iters", "5", "--agents", "5",
+                                    "--out", str(tmp_path)])
+    assert code == 2
+    assert str(tmp_path) in err and "Traceback" not in err
 
 
 def test_run_evaluation_error_exits_three(capsys, monkeypatch):
@@ -147,8 +156,6 @@ def test_grid_writes_all_artifacts(capsys, tmp_path):
 
 
 def test_grid_rerun_keeps_best_fitness_column(capsys, tmp_path):
-    import csv
-
     config = write_config(tmp_path)
 
     def best_column():
@@ -247,6 +254,43 @@ def test_grid_bad_parameter_value_exits_two_before_any_cell(capsys, tmp_path, al
     code, _, err = run_cli(capsys, ["grid", str(config)])
     assert code == 2 and f"params.{algo}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_out_naming_a_file_exits_two_before_any_cell(capsys, tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    calls = []
+    monkeypatch.setattr(harness, "run_optimizer", lambda *args: calls.append(args))
+    code, _, err = run_cli(capsys, ["grid", str(write_config(tmp_path)), "--out", str(taken)])
+    assert code == 2
+    assert str(taken) in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_run_reproduces_every_grid_row(capsys, tmp_path):
+    # ember run and a grid cell share one pipeline: with the cell's derived
+    # seed, a run prints the row's metrics and writes the same history file
+    config = write_config(tmp_path, algorithms=["ffo", "pso", "sa", "ga", "hs"],
+                          functions=["sphere", "goldstein_price"], agent_counts=[6],
+                          iteration_counts=[15], master_seed=3, save_histories=True)
+    assert run_cli(capsys, ["grid", str(config)])[0] == 0
+    out_dir = tmp_path / "out"
+    with (out_dir / "results.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20
+    for row in rows:
+        key = "__".join((row["algorithm"], row["function"], f"d{row['dimension']}",
+                         f"a{row['agents']}", f"i{row['max_iter']}", f"s{row['seed']}"))
+        history = tmp_path / "run" / f"{key}.csv"
+        code, out, _ = run_cli(capsys, [
+            "run", "--algo", row["algorithm"], "--fn", row["function"],
+            "--dim", row["dimension"], "--agents", row["agents"], "--iters", row["max_iter"],
+            "--seed", str(derive_cell_seed(3, key)), "--out", str(history),
+        ])
+        assert code == 0, key
+        for column in ("best_fitness", "total_distance", "iterations_run"):
+            assert grab(out, column) == row[column], (key, column)
+        assert history.read_bytes() == (out_dir / "histories" / f"{key}.csv").read_bytes(), key
 
 
 # ---------------------------------------------------------------------------
