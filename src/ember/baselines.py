@@ -179,7 +179,7 @@ def run_pso(spec, objective, domain):
             + c1 * r1 * (personal_best - positions)
             + c2 * r2 * (best_agent - positions)
         )
-        positions = np.clip(positions + velocities, domain.lower, domain.upper)
+        positions = (positions + velocities).clip(domain.lower, domain.upper)
         fitness = evaluate_rows(objective, positions)
         improved = fitness < personal_fitness
         personal_best[improved] = positions[improved]
@@ -211,9 +211,7 @@ def run_sa(spec, objective, domain):
     best_fitness = current_fitness
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
-        candidate = np.clip(
-            current + rng.normal(0.0, sigma, size=d), domain.lower, domain.upper
-        )
+        candidate = (current + rng.normal(0.0, sigma, size=d)).clip(domain.lower, domain.upper)
         candidate_fitness = evaluate_checked(objective, candidate)
         delta = candidate_fitness - current_fitness
         if delta <= 0 or rng.random() < ffo.acceptance_probability(delta, temperature):
@@ -275,7 +273,7 @@ def run_ga(spec, objective, domain):
         np.add(kids, steps, out=kids, where=mask)
         elites = population[np.argsort(fitness, kind="stable")[:elitism]]
         children = np.concatenate((elites, kids[: n - elitism]))
-        population = np.clip(children, domain.lower, domain.upper, out=children)
+        population = children.clip(domain.lower, domain.upper, out=children)
         fitness = evaluate_rows(objective, population)
         g = int(fitness.argmin())
         if fitness[g] < best_fitness:
@@ -314,7 +312,7 @@ def run_hs(spec, objective, domain):
                     harmony[j] += (2.0 * rng.random() - 1.0) * bandwidth
             else:
                 harmony[j] = rng.uniform(domain.lower, domain.upper)
-        harmony = np.clip(harmony, domain.lower, domain.upper)
+        harmony = harmony.clip(domain.lower, domain.upper)
         value = evaluate_checked(objective, harmony)
         worst = int(fitness.argmax())
         if value < fitness[worst]:

@@ -85,6 +85,14 @@ def cmd_run(args) -> int:
         if args.algo != "ffo":
             raise ConfigError("--conditions only applies to the ffo optimizer")
         params["use_additional_conditions"] = args.conditions == "on"
+    if args.out is not None:  # fail before the run when the history has nowhere to go
+        out = Path(args.out)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+        if out.is_dir():
+            raise ConfigError(f"cannot write --out {out}: it is a directory")
     cell = RunRecord(args.algo, args.fn, args.dim, args.agents, args.iters, args.seed)
     record, outcome = run_cell(cell, params, args.seed)
     print(f"function: {record.function}")

@@ -1,5 +1,6 @@
-"""The run driver (:func:`driven`), run outcomes, trajectory accounting, and
-evaluation plumbing shared by every optimizer."""
+"""The run driver (:func:`driven`), the one routine that turns visited positions
+into ``total_distance``; run outcomes; and evaluation plumbing shared by every
+optimizer."""
 
 from __future__ import annotations
 
@@ -77,50 +78,11 @@ def initial_population(rng, lower, upper, size, objective):
     return rows, fitness, rows[best].copy(), float(fitness[best])
 
 
-class TrajectoryTracker:
-    """Accumulates the Euclidean path length of appended positions.
-
-    Only the running total and the last point are kept, so memory does not
-    grow with the run. Distances are summed in append order, each new point
-    measured against the previously appended one.
-    """
-
-    __slots__ = ("total", "_prev")
-
-    def __init__(self):
-        self.total: float = 0.0
-        self._prev: np.ndarray | None = None
-
-    def append(self, position) -> None:
-        point = np.array(position, dtype=float, copy=True)
-        if self._prev is not None:
-            self.total += float(np.linalg.norm(point - self._prev))
-        self._prev = point
-
-    def extend(self, rows) -> None:
-        """Append the rows of a 2-D array in order; same result as one append each."""
-        points = np.asarray(rows, dtype=float)
-        if len(points) == 0:
-            return
-        if self._prev is None:
-            steps = points[1:] - points[:-1]
-        else:
-            steps = np.empty_like(points)
-            np.subtract(points[0], self._prev, out=steps[0])
-            np.subtract(points[1:], points[:-1], out=steps[1:])
-        # Summed one step at a time, in append order, exactly as append() does.
-        total = self.total
-        for length in np.sqrt(np.vecdot(steps, steps)).tolist():
-            total += length
-        self.total = total
-        self._prev = points[-1].copy()
-
-
 def path_length(positions) -> float:
     """Total Euclidean length of a stored position sequence.
 
-    Brute-force re-summation over consecutive pairs; the streaming total
-    kept by :class:`TrajectoryTracker` must agree with this value.
+    Brute-force re-summation over consecutive pairs: the reference that the
+    streaming ``total_distance`` of :func:`driven` must equal bit for bit.
     """
     total = 0.0
     for prev, here in zip(positions, positions[1:]):
@@ -155,6 +117,9 @@ def driven(steps):
     returns its iteration counter. ``moved`` is the point or the 2-D block of
     rows the iteration visited, in order. The one timer covers initialization
     and every iteration, so execution time means the same for every optimizer.
+    ``total_distance`` is the length of the path through the visited rows, in
+    order, from the first row of the first iteration: step lengths are added one
+    at a time, so it equals :func:`path_length` of the rows however they are yielded.
     """
 
     @functools.wraps(steps)
@@ -162,7 +127,8 @@ def driven(steps):
         start = time.perf_counter()
         run_steps = steps(*args, **kwargs)
         _, best_agent, best_fitness = next(run_steps)
-        tracker = TrajectoryTracker()
+        last = np.empty((0, np.size(best_agent)))
+        total = 0.0
         history: list[float] = []
         while True:
             try:
@@ -170,12 +136,14 @@ def driven(steps):
             except StopIteration as stop:
                 iterations_run = stop.value
                 break
-            if moved.ndim == 1:
-                tracker.append(moved)
-            else:
-                tracker.extend(moved)
+            # the concatenation also copies, so a step may reuse its arrays
+            path = np.concatenate((last, moved.reshape(-1, moved.shape[-1])))
+            steps_taken = path[1:] - path[:-1]
+            for length in np.sqrt(np.vecdot(steps_taken, steps_taken)).tolist():
+                total += length
+            last = path[-1:]
             history.append(best_fitness)
         elapsed = time.perf_counter() - start
-        return RunOutcome(best_agent, best_fitness, history, elapsed, tracker.total, iterations_run)
+        return RunOutcome(best_agent, best_fitness, history, elapsed, total, iterations_run)
 
     return run

@@ -112,6 +112,19 @@ def test_run_out_naming_a_directory_exits_two(capsys, tmp_path):
     assert str(tmp_path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_run_out_that_cannot_be_written_fails_before_the_run(capsys, tmp_path, monkeypatch, where):
+    (tmp_path / "taken").write_text("not a directory\n")
+    target = tmp_path if where == "directory" else tmp_path / "taken" / "history.csv"
+    calls = []
+    monkeypatch.setattr(harness, "run_optimizer", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, ["run", "--fn", "sphere", "--iters", "5", "--agents", "5",
+                                      "--out", str(target)])
+    assert code == 2
+    assert str(target) in err
+    assert out == "" and calls == []
+
+
 def test_run_evaluation_error_exits_three(capsys, monkeypatch):
     good = get_function("sphere")
     broken = dataclasses.replace(good, evaluator=lambda x: float("nan"))

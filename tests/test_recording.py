@@ -1,11 +1,11 @@
-"""Evaluation plumbing and trajectory accounting shared by every optimizer."""
+"""Evaluation plumbing shared by every optimizer, and the run driver's path length."""
 
 import numpy as np
 import pytest
 
 from ember.errors import EvaluationError
 from ember.functions import list_functions, make_objective
-from ember.recording import TrajectoryTracker, batch_capable, evaluate_rows, path_length
+from ember.recording import batch_capable, driven, evaluate_rows, path_length
 
 
 def _rows(n=6, d=4, seed=0):
@@ -77,44 +77,35 @@ def test_batched_wrong_shape_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# TrajectoryTracker.extend
+# total_distance through driven
 
 
-def _appended(chunks):
-    tracker = TrajectoryTracker()
-    for chunk in chunks:
-        for row in chunk:
-            tracker.append(row)
-    return tracker
+def _total_distance(groups, d, overwrite):
+    """Run the yielded ``groups`` of rows through :func:`driven`; with
+    ``overwrite`` each group is yielded from a buffer that is filled with NaN
+    right after the yield."""
+
+    @driven
+    def steps():
+        yield None, np.zeros(d), 0.0
+        for group in groups:
+            moved = np.array(group) if overwrite else group
+            yield moved, np.zeros(d), 0.0
+            if overwrite:
+                moved[...] = np.nan
+        return len(groups)
+
+    return steps().total_distance
 
 
-def _extended(chunks):
-    tracker = TrajectoryTracker()
-    for chunk in chunks:
-        tracker.extend(chunk)
-    return tracker
-
-
-@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("overwrite", [True, False])
 @pytest.mark.parametrize("d", [1, 2, 20, 200])
-def test_extend_equals_appending_each_row(d, record):
+def test_extend_equals_appending_each_row(d, overwrite):
+    # the path is the same whether an iteration appends one point or extends
+    # it by a block of rows, and the driver keeps its own copy of the last one
     rows = _rows(n=40, d=d, seed=d)
-    # first call with no previous point, a single-row call, an empty call,
-    # then calls that continue from the last point
-    chunks = [rows[:7], rows[7:8], rows[8:8], rows[8:9], rows[9:30], rows[30:]]
-    batched = _extended(chunks)
-    assert batched.total == _appended(chunks).total
-    if record:
-        # the tracker keeps no positions; the caller's own record of them
-        # re-sums to the same streaming total
-        assert batched.total == path_length(np.concatenate(chunks))
-
-
-def test_extend_copies_its_rows():
-    rows = _rows(n=3)
-    tracker = TrajectoryTracker()
-    tracker.extend(rows)
-    before = tracker.total
-    rows[:] = 0.0
-    tracker.extend(rows[:1])
-    assert tracker.total > before  # measured from the copied last point, not the zeroed one
+    points = list(rows)
+    one_row_blocks = [rows[i : i + 1] for i in range(len(rows))]
+    chunks = [rows[:7], rows[7:8], rows[8:9], rows[9:30], rows[30:]]
+    totals = [_total_distance(groups, d, overwrite) for groups in (points, one_row_blocks, chunks)]
+    assert totals == [path_length(rows)] * 3
