@@ -10,25 +10,21 @@ surface and unpacks what the outcome object carries.
 
 import numpy as np
 
-from ember import FFOConfig, ffo, make_objective
+from ember import OptimizerSpec, domain_box, make_objective, run_optimizer
 
-config = FFOConfig(
-    dimension=2,
-    num_agents=60,
-    max_iter=300,
-    seed=42,
-    use_additional_conditions=True,  # allow stopping on stagnation or target
-    target_fitness=1e-8,
-)
-objective = make_objective("rastrigin", config.dimension)
+# allow stopping on stagnation or on reaching the target
+params = {"use_additional_conditions": True, "target_fitness": 1e-8}
+spec = OptimizerSpec("ffo", params, 300, 60, 42)  # 300 iterations, 60 agents, seed 42
+objective = make_objective("rastrigin", 2)
+domain = domain_box("rastrigin", 2)
 
-outcome = ffo.run(config, objective)
+outcome = run_optimizer(spec, objective, domain)
 
 print("run outcome")
 print("-" * 50)
 print(f"best fitness     : {outcome.best_fitness:.6e}")
 print(f"best agent       : {np.array2string(outcome.best_agent, precision=6)}")
-print(f"iterations run   : {outcome.iterations_run} of {config.max_iter} allowed")
+print(f"iterations run   : {outcome.iterations_run} of {spec.max_iter} allowed")
 print(f"wall time        : {outcome.execution_time * 1e3:.1f} ms")
 print(f"distance covered : {outcome.total_distance:.1f}")
 
@@ -49,7 +45,7 @@ print()
 print("history is non-increasing and ends at the reported best fitness")
 
 # a fresh run with the same seed reproduces everything bit for bit
-again = ffo.run(config, objective)
+again = run_optimizer(spec, objective, domain)
 assert again.best_fitness == outcome.best_fitness
 assert again.fitness_history == outcome.fitness_history
 print("an identically seeded rerun reproduced the run exactly")

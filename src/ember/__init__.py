@@ -6,7 +6,7 @@ Three layers:
   known minima (:func:`get_function`, :func:`evaluate`,
   :func:`validate_registry`),
 * the FFO optimizer plus four reference algorithms behind one dispatch
-  (:func:`ffo.run`, :func:`run_optimizer`),
+  (:func:`run_optimizer`),
 * an experiment harness that runs grids, streams CSV results, and aggregates
   summaries and rankings (:func:`run_grid`, :func:`summarize`,
   :func:`rank_top3`).
@@ -32,7 +32,6 @@ from .errors import (
     MetricError,
     UnknownFunctionError,
 )
-from .ffo import FFOConfig
 from .functions import (
     BenchmarkFunction,
     DomainBox,
@@ -72,7 +71,6 @@ __all__ = [
     "EmberError",
     "EvaluationError",
     "ExperimentGrid",
-    "FFOConfig",
     "InputError",
     "MetricError",
     "MetricStats",

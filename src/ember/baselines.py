@@ -1,8 +1,9 @@
 """Reference optimizers behind one dispatch interface.
 
-Four classic algorithms (particle swarm, simulated annealing, a real-coded
-genetic algorithm, harmony search) plus the FFO adapter, all runnable through
-:func:`run_optimizer` with an :class:`OptimizerSpec`. Every optimizer:
+Five step generators, FFO and four classic algorithms (particle swarm,
+simulated annealing, a real-coded genetic algorithm, harmony search), all
+runnable through :func:`run_optimizer` with an :class:`OptimizerSpec`. Every
+optimizer:
 
 * draws all randomness from one generator seeded by the spec,
 * keeps every reported position inside the domain box,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "optimizer_names",
     "register_optimizer",
     "resolve_params",
+    "run_ffo",
     "run_ga",
     "run_hs",
     "run_optimizer",
@@ -65,9 +67,15 @@ class OptimizerSpec:
 
 PARAM_DEFAULTS: dict[str, dict] = {
     "ffo": {
-        f.name: f.default
-        for f in fields(ffo.FFOConfig)
-        if f.name not in {"dimension", "num_agents", "max_iter", "bounds", "seed"}
+        "no_improve_limit": 30,
+        "step_size": 1.0,
+        "crossover_probability": 0.5,
+        "mutation_probability": 0.1,
+        "initial_temp": 100.0,
+        "cooling_rate": 0.95,
+        "use_additional_conditions": False,
+        "target_fitness": 1e-5,
+        "perturbation_threshold": 50,
     },
     "pso": {
         "inertia": 0.7,
@@ -96,9 +104,12 @@ PARAM_DEFAULTS: dict[str, dict] = {
 
 # The interval each parameter must lie in. Besides, every number must be
 # finite, a parameter whose default is an int must be an exact integer, and a
-# boolean is not a number. GA's elitism is also capped by the population, and
-# FFOConfig checks FFO's ranges itself.
+# boolean is not a number. GA's elitism is also capped by the population.
 _RANGES = {
+    "ffo": {"no_improve_limit": "[1, inf)", "step_size": "(0, inf)",
+            "crossover_probability": "[0, 1]", "mutation_probability": "[0, 1]",
+            "initial_temp": "(0, inf)", "cooling_rate": "(0, 1)",
+            "perturbation_threshold": "[0, inf)"},
     "sa": {"initial_temp": "(0, inf)", "cooling_rate": "(0, 1)", "proposal_scale": "[0, inf)"},
     "ga": {"crossover_rate": "[0, 1]", "mutation_rate": "[0, 1]", "tournament_size": "[1, inf)",
            "elitism": "[0, inf)", "mutation_scale": "[0, inf)"},
@@ -147,9 +158,30 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
         raise ConfigError(
             f"elitism must be <= num_agents ({num_agents}), got {params['elitism']!r}"
         )
-    if name == "ffo":
-        ffo.FFOConfig(dimension=1, num_agents=num_agents, **params)
     return params
+
+
+@driven
+def run_ffo(spec, objective, domain):
+    """FFO's run loop over the operators of :mod:`ember.ffo`.
+
+    Each pass evaluates the population, sweeps it (:func:`~ember.ffo.update_agents`)
+    and cools the local-search step, until :func:`~ember.ffo.should_terminate`.
+    The iteration counter is 1-based and the loop stops when it reaches the
+    budget, so a budget of K yields K-1 completed update passes and K-1 history
+    entries; ``RunOutcome.iterations_run`` reports the counter's final value.
+    """
+    params = resolve_params("ffo", spec.params, spec.num_agents)
+    if spec.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {spec.max_iter}")
+    state = ffo.initialize(params, domain, spec.num_agents, spec.seed, objective)
+    yield None, state.best_global_agent, state.best_global_fitness
+    while not ffo.should_terminate(state, spec.max_iter):
+        moved = ffo.update_agents(state, objective)
+        ffo.cooling_schedule(state)
+        yield moved, state.best_global_agent, state.best_global_fitness
+        state.iteration += 1
+    return state.iteration
 
 
 @driven
@@ -325,21 +357,8 @@ def run_hs(spec, objective, domain):
     return spec.max_iter
 
 
-def _run_ffo(spec, objective, domain) -> RunOutcome:
-    params = resolve_params("ffo", spec.params, spec.num_agents)
-    config = ffo.FFOConfig(
-        dimension=domain.dimension,
-        num_agents=spec.num_agents,
-        max_iter=spec.max_iter,
-        bounds=(domain.lower, domain.upper),
-        seed=spec.seed,
-        **params,
-    )
-    return ffo.run(config, objective)
-
-
 _OPTIMIZERS: dict[str, object] = {
-    "ffo": _run_ffo,
+    "ffo": run_ffo,
     "pso": run_pso,
     "sa": run_sa,
     "ga": run_ga,

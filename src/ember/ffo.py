@@ -16,9 +16,9 @@ index, crossover point, mutation gate, then per local-search candidate d
 normals plus one uniform only when the candidate did not improve, then d
 normals for the stagnation perturbation when it is active.
 
-The iteration counter is 1-based and the loop stops when it reaches the
-budget, so a budget of K yields K-1 completed update passes and K-1 history
-entries; ``RunOutcome.iterations_run`` reports the counter's final value.
+The operators here take the parameters that
+:func:`~ember.baselines.resolve_params` checked; the run loop is
+:func:`~ember.baselines.run_ffo`.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .recording import driven, evaluate_checked, evaluate_rows, initial_population
+from .errors import InputError
+from .recording import evaluate_checked, evaluate_rows, initial_population
 
 __all__ = [
-    "FFOConfig",
     "FFOState",
     "acceptance_probability",
     "apply_perturbation",
@@ -43,68 +42,17 @@ __all__ = [
     "local_search",
     "one_point_crossover",
     "perturbation_intensity",
-    "run",
     "should_terminate",
     "update_agents",
 ]
-
-
-@dataclass(frozen=True)
-class FFOConfig:
-    """Run configuration. Defaults are the reference parameterization."""
-
-    dimension: int
-    num_agents: int = 100
-    max_iter: int = 500
-    no_improve_limit: int = 30
-    bounds: tuple[float, float] = (-5.12, 5.12)
-    step_size: float = 1.0
-    crossover_probability: float = 0.5
-    mutation_probability: float = 0.1
-    initial_temp: float = 100.0
-    cooling_rate: float = 0.95
-    use_additional_conditions: bool = False
-    target_fitness: float = 1e-5
-    perturbation_threshold: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        if self.num_agents < 1:
-            raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.no_improve_limit < 1:
-            raise ConfigError(f"no_improve_limit must be >= 1, got {self.no_improve_limit}")
-        lower, upper = self.bounds
-        if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
-            raise ConfigError(f"bounds must be finite with lower < upper, got {self.bounds}")
-        if not 0 < self.step_size < math.inf:
-            raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
-        for name in ("crossover_probability", "mutation_probability"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {p}")
-        if not 0 < self.initial_temp < math.inf:
-            raise ConfigError(f"initial_temp must be positive and finite, got {self.initial_temp}")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ConfigError(f"cooling_rate must lie in (0, 1), got {self.cooling_rate}")
-        if not math.isfinite(self.target_fitness):
-            raise ConfigError(f"target_fitness must be finite, got {self.target_fitness}")
-        if self.perturbation_threshold < 0:
-            raise ConfigError(
-                f"perturbation_threshold must be >= 0, got {self.perturbation_threshold}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class FFOState:
     """Mutable run state; created by :func:`initialize` and owned by one run."""
 
-    config: FFOConfig
+    params: dict
+    bounds: tuple[float, float]
     rng: np.random.Generator
     agents: np.ndarray
     best_global_agent: np.ndarray
@@ -130,9 +78,9 @@ def acceptance_probability(delta_energy: float, temperature: float) -> float:
     return math.exp(ratio)
 
 
-def current_temperature(config: FFOConfig, iteration: int) -> float:
+def current_temperature(params: dict, iteration: int) -> float:
     """Local-search temperature at a 1-based iteration: T0 * rate**iteration."""
-    return config.initial_temp * config.cooling_rate**iteration
+    return params["initial_temp"] * params["cooling_rate"] ** iteration
 
 
 def perturbation_intensity(counter: int, threshold: int) -> float:
@@ -140,17 +88,18 @@ def perturbation_intensity(counter: int, threshold: int) -> float:
     return 0.1 + 0.02 * (counter - threshold)
 
 
-def initialize(config: FFOConfig, objective) -> FFOState:
-    """Draw the initial population and evaluate it.
+def initialize(params: dict, domain, num_agents: int, seed: int, objective) -> FFOState:
+    """Draw ``num_agents`` agents in ``domain`` and evaluate them.
 
     The best initial agent seeds the global best (first index wins ties).
     Raises :class:`EvaluationError` if any initial agent evaluates non-finite.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
+    bounds = (domain.lower, domain.upper)
     agents, _, best_agent, best_fitness = initial_population(
-        rng, *config.bounds, (config.num_agents, config.dimension), objective
+        rng, *bounds, (num_agents, domain.dimension), objective
     )
-    return FFOState(config, rng, agents, best_agent, best_fitness, config.step_size)
+    return FFOState(params, bounds, rng, agents, best_agent, best_fitness, params["step_size"])
 
 
 def evaluate_agents(state: FFOState, objective) -> None:
@@ -205,8 +154,7 @@ def local_search(state: FFOState, agent: np.ndarray, objective) -> np.ndarray:
     annealing probability at the current iteration's temperature. Candidates
     are evaluated where they land, without clipping.
     """
-    cfg = state.config
-    temperature = current_temperature(cfg, state.iteration)
+    temperature = current_temperature(state.params, state.iteration)
     scale = state.step_size * 0.1
     candidates = 10 + 5 * (state.no_improve_counter // 100)
     incumbent = agent
@@ -243,18 +191,21 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
     sweep's part of the trajectory, in visiting order.
     """
     evaluate_agents(state, objective)
-    cfg = state.config
+    params = state.params
+    crossover_probability = params["crossover_probability"]
+    mutation_probability = params["mutation_probability"]
+    threshold = params["perturbation_threshold"]
     rng = state.rng
     agents = state.agents
     n_agents, dimension = agents.shape
-    lower, upper = cfg.bounds
-    stagnant = state.no_improve_counter > cfg.perturbation_threshold
+    lower, upper = state.bounds
+    stagnant = state.no_improve_counter > threshold
     if stagnant:
-        intensity = perturbation_intensity(state.no_improve_counter, cfg.perturbation_threshold)
+        intensity = perturbation_intensity(state.no_improve_counter, threshold)
     moved = np.empty_like(agents)
     for i in range(n_agents):
         row = agents[i]
-        if dimension >= 2 and rng.random() < cfg.crossover_probability:
+        if dimension >= 2 and rng.random() < crossover_probability:
             partner = int(rng.integers(n_agents))
             point = int(rng.integers(1, dimension))
             tail = row[point:].copy()
@@ -264,7 +215,7 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
         # other coordinate is an initial uniform in [lower, upper) or was
         # clipped when its agent was updated, and crossover only exchanges them.
         displaced = False
-        if rng.random() < cfg.mutation_probability:
+        if rng.random() < mutation_probability:
             row[:] = local_search(state, row, objective)
             displaced = True
         if stagnant:
@@ -279,41 +230,24 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
 
 def cooling_schedule(state: FFOState) -> None:
     """Shrink the local-search step scale, faster while stagnating."""
-    if state.no_improve_counter > state.config.perturbation_threshold:
+    if state.no_improve_counter > state.params["perturbation_threshold"]:
         state.step_size *= 0.98
     else:
         state.step_size *= 0.99
 
 
-def should_terminate(state: FFOState, config: FFOConfig) -> bool:
+def should_terminate(state: FFOState, max_iter: int) -> bool:
     """Whether the run loop should stop before the next update pass.
 
     The budget check alone applies by default; with
     ``use_additional_conditions`` the stagnation limit and the target fitness
     also stop the run.
     """
-    if config.use_additional_conditions:
+    params = state.params
+    if params["use_additional_conditions"]:
         return (
-            state.iteration >= config.max_iter
-            or state.no_improve_counter > config.no_improve_limit
-            or state.best_global_fitness < config.target_fitness
+            state.iteration >= max_iter
+            or state.no_improve_counter > params["no_improve_limit"]
+            or state.best_global_fitness < params["target_fitness"]
         )
-    return state.iteration >= config.max_iter
-
-
-@driven
-def run(config: FFOConfig, objective):
-    """Execute a full run and report the outcome as a :class:`~ember.recording.RunOutcome`.
-
-    The best-so-far fitness is appended to the history after every completed
-    update pass, so the history is non-increasing and its last entry equals
-    ``best_fitness``.
-    """
-    state = initialize(config, objective)
-    yield None, state.best_global_agent, state.best_global_fitness
-    while not should_terminate(state, config):
-        moved = update_agents(state, objective)
-        cooling_schedule(state)
-        yield moved, state.best_global_agent, state.best_global_fitness
-        state.iteration += 1
-    return state.iteration
+    return state.iteration >= max_iter

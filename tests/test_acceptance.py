@@ -14,17 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from ember import ffo
-from ember.baselines import OptimizerSpec, run_optimizer
+from ember.baselines import OptimizerSpec, resolve_params, run_optimizer
 from ember.ffo import (
-    FFOConfig,
     cooling_schedule,
     initialize,
     one_point_crossover,
     should_terminate,
     update_agents,
 )
-from ember.functions import domain_box, evaluate, get_function, make_objective
+from ember.functions import DomainBox, domain_box, evaluate, get_function, make_objective
 from ember.harness import (
     ExperimentGrid,
     RunRecord,
@@ -33,6 +31,16 @@ from ember.harness import (
     summarize,
 )
 from ember.recording import path_length
+
+
+def _ffo_state(objective, dimension, num_agents, seed, **overrides):
+    params = resolve_params("ffo", overrides, num_agents)
+    return initialize(params, DomainBox(-5.12, 5.12, dimension), num_agents, seed, objective)
+
+
+def _ffo_run(objective, dimension, num_agents, max_iter, seed, **overrides):
+    spec = OptimizerSpec("ffo", overrides, max_iter, num_agents, seed)
+    return run_optimizer(spec, objective, DomainBox(-5.12, 5.12, dimension))
 
 
 def _announce(number, label, detail):
@@ -85,8 +93,8 @@ def test_criterion_02_ffo_default_convergence():
         objective = make_objective(fn_name, 2)
         finals = []
         for seed in range(10):
-            config = FFOConfig(dimension=2, seed=seed)
-            finals.append(ffo.run(config, objective).best_fitness)
+            spec = OptimizerSpec("ffo", seed=seed)
+            finals.append(run_optimizer(spec, objective, domain_box(fn_name, 2)).best_fitness)
         medians[fn_name] = statistics.median(finals)
         assert medians[fn_name] <= bound, (
             f"{fn_name} median {medians[fn_name]:.3e} above {bound}"
@@ -118,11 +126,10 @@ def test_criterion_03_run_properties_hold_across_a_grid():
         assert np.all(diffs <= 0), f"{record.cell_key} history increased"
 
     # (b) FFO population stays inside the bounds at every iteration
-    config = FFOConfig(dimension=2, num_agents=10, max_iter=40, seed=3)
     objective = make_objective("rastrigin", 2)
-    state = initialize(config, objective)
-    lower, upper = config.bounds
-    while not should_terminate(state, config):
+    state = _ffo_state(objective, 2, 10, 3)
+    lower, upper = state.bounds
+    while not should_terminate(state, 40):
         update_agents(state, objective)
         cooling_schedule(state)
         state.iteration += 1
@@ -153,15 +160,14 @@ def test_criterion_03_run_properties_hold_across_a_grid():
 
 def test_criterion_04_streaming_distance_matches_brute_force():
     start = time.perf_counter()
-    config = FFOConfig(dimension=2, num_agents=3, max_iter=5, seed=8)
     objective = make_objective("sphere", 2)
-    state = initialize(config, objective)
+    state = _ffo_state(objective, 2, 3, 8)
     visited = []
-    while not should_terminate(state, config):
+    while not should_terminate(state, 5):
         visited.extend(update_agents(state, objective))
         cooling_schedule(state)
         state.iteration += 1
-    streaming = ffo.run(config, objective).total_distance
+    streaming = _ffo_run(objective, 2, 3, 5, 8).total_distance
     resummed = path_length(visited)
     elapsed = time.perf_counter() - start
     assert streaming == pytest.approx(resummed, rel=1e-12)
@@ -175,20 +181,16 @@ def test_criterion_05_termination_semantics_over_random_configs():
     objective = make_objective("rastrigin", 3)
     checked_on = checked_off = stagnation_stops = 0
     for trial in range(50):
-        config = FFOConfig(
-            dimension=3,
-            num_agents=int(rng.integers(2, 12)),
-            max_iter=int(rng.integers(5, 200)),
-            no_improve_limit=30,
-            target_fitness=float(10.0 ** rng.uniform(-6, 1)),
-            use_additional_conditions=bool(trial % 2),
-            seed=int(rng.integers(0, 10_000)),
-        )
-        if config.use_additional_conditions:
+        num_agents = int(rng.integers(2, 12))
+        max_iter = int(rng.integers(5, 200))
+        params = dict(no_improve_limit=30, target_fitness=float(10.0 ** rng.uniform(-6, 1)),
+                      use_additional_conditions=bool(trial % 2))
+        seed = int(rng.integers(0, 10_000))
+        if params["use_additional_conditions"]:
             # replay the run loop through the public operations so the final
             # counter is observable at the moment the loop exits
-            state = initialize(config, objective)
-            while not should_terminate(state, config):
+            state = _ffo_state(objective, 3, num_agents, seed, **params)
+            while not should_terminate(state, max_iter):
                 update_agents(state, objective)
                 cooling_schedule(state)
                 state.iteration += 1
@@ -196,24 +198,24 @@ def test_criterion_05_termination_semantics_over_random_configs():
             # as it exceeds the limit, so it can never overshoot 31
             assert (
                 state.no_improve_counter <= 31
-                or state.best_global_fitness < config.target_fitness
-                or state.iteration == config.max_iter
+                or state.best_global_fitness < params["target_fitness"]
+                or state.iteration == max_iter
             )
-            stopped_for_budget = state.iteration >= config.max_iter
-            stopped_for_stagnation = state.no_improve_counter > config.no_improve_limit
-            stopped_for_target = state.best_global_fitness < config.target_fitness
+            stopped_for_budget = state.iteration >= max_iter
+            stopped_for_stagnation = state.no_improve_counter > params["no_improve_limit"]
+            stopped_for_target = state.best_global_fitness < params["target_fitness"]
             assert stopped_for_budget or stopped_for_stagnation or stopped_for_target
             if stopped_for_stagnation:
                 stagnation_stops += 1
                 assert state.no_improve_counter == 31
-            outcome = ffo.run(config, objective)
+            outcome = _ffo_run(objective, 3, num_agents, max_iter, seed, **params)
             assert outcome.iterations_run == state.iteration
-            assert outcome.iterations_run <= config.max_iter
+            assert outcome.iterations_run <= max_iter
             checked_on += 1
         else:
-            outcome = ffo.run(config, objective)
-            assert outcome.iterations_run == config.max_iter
-            assert len(outcome.fitness_history) == config.max_iter - 1
+            outcome = _ffo_run(objective, 3, num_agents, max_iter, seed, **params)
+            assert outcome.iterations_run == max_iter
+            assert len(outcome.fitness_history) == max_iter - 1
             checked_off += 1
     assert stagnation_stops > 0, "no run exercised the stagnation stop"
     _announce(5, "termination semantics",

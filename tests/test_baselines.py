@@ -46,6 +46,10 @@ def test_spec_validation():
         OptimizerSpec(name="pso", num_agents=0)
     with pytest.raises(ConfigError):
         OptimizerSpec(name="pso", seed=-3)
+    with pytest.raises(ConfigError):
+        OptimizerSpec(name="ffo", num_agents=0)
+    with pytest.raises(ConfigError):
+        OptimizerSpec(name="ffo", seed=-1)
 
 
 def test_unknown_optimizer_rejected():
@@ -67,6 +71,17 @@ def test_unknown_parameter_rejected_with_valid_names():
     ("ga", "tournament_size", 0),
     ("ga", "elitism", 50),
     ("ffo", "cooling_rate", 2),
+    ("ffo", "no_improve_limit", 0),
+    ("ffo", "step_size", 0),
+    ("ffo", "step_size", math.inf),
+    ("ffo", "crossover_probability", 1.5),
+    ("ffo", "mutation_probability", -0.1),
+    ("ffo", "initial_temp", 0),
+    ("ffo", "initial_temp", math.inf),
+    ("ffo", "cooling_rate", 0),
+    ("ffo", "cooling_rate", 1.0),
+    ("ffo", "target_fitness", math.nan),
+    ("ffo", "perturbation_threshold", -1),
 ])
 def test_runners_reject_bad_parameter_values(name, key, value):
     with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -164,7 +179,7 @@ def test_ffo_adapter_runs_through_dispatch():
 
 
 def test_ffo_adapter_rejects_zero_budget():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="max_iter"):
         run_named("ffo", max_iter=0)
 
 

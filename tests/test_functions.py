@@ -330,6 +330,8 @@ def test_domain_box_contents():
     assert domain_box("sphere", 2) == DomainBox(-5.12, 5.12, 2)
     with pytest.raises(InputError):
         DomainBox(3.0, -3.0, 2)
+    with pytest.raises(InputError):
+        DomainBox(0.0, math.inf, 2)
     with pytest.raises(DimensionError):
         DomainBox(-1.0, 1.0, 0)
 
