@@ -7,9 +7,9 @@ optimizer:
 
 * draws all randomness from one generator seeded by the spec,
 * keeps every reported position inside the domain box,
-* is a step generator run by :func:`~ember.recording.driven`, which times
-  it, keeps its history and path length, and returns a
-  :class:`~ember.recording.RunOutcome`.
+* is a step generator run by :func:`~ember.recording.driven`, which hands it
+  an :class:`~ember.recording.Evaluator` for its objective, times it, keeps
+  its history and path length, and returns a :class:`~ember.recording.RunOutcome`.
 
 :func:`resolve_params` checks parameter values for the runners and the grid.
 
@@ -29,7 +29,7 @@ import numpy as np
 from . import ffo
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, driven, evaluate_checked, evaluate_rows, initial_population
+from .recording import RunOutcome, driven, initial_population
 
 __all__ = [
     "OptimizerSpec",
@@ -162,7 +162,7 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
 
 
 @driven
-def run_ffo(spec, objective, domain):
+def run_ffo(spec, evaluate, domain):
     """FFO's run loop over the operators of :mod:`ember.ffo`.
 
     Each pass evaluates the population, sweeps it (:func:`~ember.ffo.update_agents`)
@@ -174,10 +174,10 @@ def run_ffo(spec, objective, domain):
     params = resolve_params("ffo", spec.params, spec.num_agents)
     if spec.max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {spec.max_iter}")
-    state = ffo.initialize(params, domain, spec.num_agents, spec.seed, objective)
+    state = ffo.initialize(params, domain, spec.num_agents, spec.seed, evaluate)
     yield None, state.best_global_agent, state.best_global_fitness
     while not ffo.should_terminate(state, spec.max_iter):
-        moved = ffo.update_agents(state, objective)
+        moved = ffo.update_agents(state, evaluate)
         ffo.cooling_schedule(state)
         yield moved, state.best_global_agent, state.best_global_fitness
         state.iteration += 1
@@ -185,7 +185,7 @@ def run_ffo(spec, objective, domain):
 
 
 @driven
-def run_pso(spec, objective, domain):
+def run_pso(spec, evaluate, domain):
     """Global-best particle swarm.
 
     Velocities start at zero and blend inertia with per-coordinate cognitive
@@ -197,7 +197,7 @@ def run_pso(spec, objective, domain):
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     positions, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), objective
+        rng, domain.lower, domain.upper, (n, d), evaluate
     )
     velocities = np.zeros((n, d))
     personal_best = positions.copy()
@@ -212,7 +212,7 @@ def run_pso(spec, objective, domain):
             + c2 * r2 * (best_agent - positions)
         )
         positions = (positions + velocities).clip(domain.lower, domain.upper)
-        fitness = evaluate_rows(objective, positions)
+        fitness = evaluate.rows(positions)
         improved = fitness < personal_fitness
         personal_best[improved] = positions[improved]
         personal_fitness[improved] = fitness[improved]
@@ -225,7 +225,7 @@ def run_pso(spec, objective, domain):
 
 
 @driven
-def run_sa(spec, objective, domain):
+def run_sa(spec, evaluate, domain):
     """Single-solution simulated annealing with geometric cooling.
 
     Gaussian proposals (sigma = proposal_scale * domain width) are clipped to
@@ -238,13 +238,13 @@ def run_sa(spec, objective, domain):
     sigma = params["proposal_scale"] * (domain.upper - domain.lower)
     temperature = params["initial_temp"]
     current = rng.uniform(domain.lower, domain.upper, size=d)
-    current_fitness = evaluate_checked(objective, current)
+    current_fitness = evaluate(current)
     best_agent = current.copy()
     best_fitness = current_fitness
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         candidate = (current + rng.normal(0.0, sigma, size=d)).clip(domain.lower, domain.upper)
-        candidate_fitness = evaluate_checked(objective, candidate)
+        candidate_fitness = evaluate(candidate)
         delta = candidate_fitness - current_fitness
         if delta <= 0 or rng.random() < ffo.acceptance_probability(delta, temperature):
             current = candidate
@@ -258,7 +258,7 @@ def run_sa(spec, objective, domain):
 
 
 @driven
-def run_ga(spec, objective, domain):
+def run_ga(spec, evaluate, domain):
     """Generational real-coded genetic algorithm.
 
     Tournament selection, one-point crossover, per-gene Gaussian mutation
@@ -283,7 +283,7 @@ def run_ga(spec, objective, domain):
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), objective
+        rng, domain.lower, domain.upper, (n, d), evaluate
     )
     pairs = -(-(n - elitism) // 2)
     rows = np.arange(2 * pairs)
@@ -306,7 +306,7 @@ def run_ga(spec, objective, domain):
         elites = population[np.argsort(fitness, kind="stable")[:elitism]]
         children = np.concatenate((elites, kids[: n - elitism]))
         population = children.clip(domain.lower, domain.upper, out=children)
-        fitness = evaluate_rows(objective, population)
+        fitness = evaluate.rows(population)
         g = int(fitness.argmin())
         if fitness[g] < best_fitness:
             best_fitness = float(fitness[g])
@@ -316,7 +316,7 @@ def run_ga(spec, objective, domain):
 
 
 @driven
-def run_hs(spec, objective, domain):
+def run_hs(spec, evaluate, domain):
     """Harmony search over a fixed-size memory of candidate solutions.
 
     Each iteration improvises one new harmony: every coordinate is drawn from
@@ -332,7 +332,7 @@ def run_hs(spec, objective, domain):
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
     memory, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), objective
+        rng, domain.lower, domain.upper, (n, d), evaluate
     )
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
@@ -345,7 +345,7 @@ def run_hs(spec, objective, domain):
             else:
                 harmony[j] = rng.uniform(domain.lower, domain.upper)
         harmony = harmony.clip(domain.lower, domain.upper)
-        value = evaluate_checked(objective, harmony)
+        value = evaluate(harmony)
         worst = int(fitness.argmax())
         if value < fitness[worst]:
             memory[worst] = harmony

@@ -102,6 +102,7 @@ def cmd_run(args) -> int:
     print(f"best_fitness: {record.best_fitness}")
     print(f"best_agent: {outcome.best_agent.tolist()}")
     print(f"iterations_run: {record.iterations_run}")
+    print(f"evaluations: {record.evaluations}")
     print(f"execution_time_s: {record.execution_time}")
     print(f"total_distance: {record.total_distance}")
     print(f"distance_per_unit_time: {record.distance_per_unit_time}")

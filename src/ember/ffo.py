@@ -16,9 +16,9 @@ index, crossover point, mutation gate, then per local-search candidate d
 normals plus one uniform only when the candidate did not improve, then d
 normals for the stagnation perturbation when it is active.
 
-The operators here take the parameters that
-:func:`~ember.baselines.resolve_params` checked; the run loop is
-:func:`~ember.baselines.run_ffo`.
+The operators take the parameters that :func:`~ember.baselines.resolve_params`
+checked and value points through the run's :class:`~ember.recording.Evaluator`;
+the run loop is :func:`~ember.baselines.run_ffo`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .recording import evaluate_checked, evaluate_rows, initial_population
+from .recording import initial_population
 
 __all__ = [
     "FFOState",
@@ -88,8 +88,8 @@ def perturbation_intensity(counter: int, threshold: int) -> float:
     return 0.1 + 0.02 * (counter - threshold)
 
 
-def initialize(params: dict, domain, num_agents: int, seed: int, objective) -> FFOState:
-    """Draw ``num_agents`` agents in ``domain`` and evaluate them.
+def initialize(params: dict, domain, num_agents: int, seed: int, evaluate) -> FFOState:
+    """Draw ``num_agents`` agents in ``domain`` and value them with ``evaluate``.
 
     The best initial agent seeds the global best (first index wins ties).
     Raises :class:`EvaluationError` if any initial agent evaluates non-finite.
@@ -97,12 +97,12 @@ def initialize(params: dict, domain, num_agents: int, seed: int, objective) -> F
     rng = np.random.default_rng(seed)
     bounds = (domain.lower, domain.upper)
     agents, _, best_agent, best_fitness = initial_population(
-        rng, *bounds, (num_agents, domain.dimension), objective
+        rng, *bounds, (num_agents, domain.dimension), evaluate
     )
     return FFOState(params, bounds, rng, agents, best_agent, best_fitness, params["step_size"])
 
 
-def evaluate_agents(state: FFOState, objective) -> None:
+def evaluate_agents(state: FFOState, evaluate) -> None:
     """Evaluate the whole population and update the global best.
 
     A strictly better population minimum replaces the global best and resets
@@ -110,7 +110,7 @@ def evaluate_agents(state: FFOState, objective) -> None:
     per call, regardless of population size. Ties never count as improvement.
     """
     agents = state.agents
-    fitness = evaluate_rows(objective, agents)
+    fitness = evaluate.rows(agents)
     best = int(fitness.argmin())
     if fitness[best] < state.best_global_fitness:
         state.best_global_fitness = float(fitness[best])
@@ -145,7 +145,7 @@ def one_point_crossover(parent1, parent2, rng=None, point=None):
     return child1, child2
 
 
-def local_search(state: FFOState, agent: np.ndarray, objective) -> np.ndarray:
+def local_search(state: FFOState, agent: np.ndarray, evaluate) -> np.ndarray:
     """Annealing refinement of one agent.
 
     Runs 10 + 5*(counter // 100) candidate steps, each a Gaussian move with
@@ -158,10 +158,10 @@ def local_search(state: FFOState, agent: np.ndarray, objective) -> np.ndarray:
     scale = state.step_size * 0.1
     candidates = 10 + 5 * (state.no_improve_counter // 100)
     incumbent = agent
-    incumbent_fitness = evaluate_checked(objective, agent)
+    incumbent_fitness = evaluate(agent)
     for _ in range(candidates):
         candidate = incumbent + state.rng.normal(0.0, scale, size=agent.shape[0])
-        candidate_fitness = evaluate_checked(objective, candidate)
+        candidate_fitness = evaluate(candidate)
         if candidate_fitness < incumbent_fitness or state.rng.random() < acceptance_probability(
             candidate_fitness - incumbent_fitness, temperature
         ):
@@ -176,7 +176,7 @@ def apply_perturbation(state: FFOState, agent: np.ndarray, intensity: float) -> 
     return agent + gains * (state.best_global_agent - agent)
 
 
-def update_agents(state: FFOState, objective) -> np.ndarray:
+def update_agents(state: FFOState, evaluate) -> np.ndarray:
     """One full population update pass; returns the moved rows.
 
     Evaluates the population first, then sweeps agents in index order through
@@ -190,7 +190,7 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
     crossover may still overwrite the agent as a partner); the rows are the
     sweep's part of the trajectory, in visiting order.
     """
-    evaluate_agents(state, objective)
+    evaluate_agents(state, evaluate)
     params = state.params
     crossover_probability = params["crossover_probability"]
     mutation_probability = params["mutation_probability"]
@@ -216,7 +216,7 @@ def update_agents(state: FFOState, objective) -> np.ndarray:
         # clipped when its agent was updated, and crossover only exchanges them.
         displaced = False
         if rng.random() < mutation_probability:
-            row[:] = local_search(state, row, objective)
+            row[:] = local_search(state, row, evaluate)
             displaced = True
         if stagnant:
             row[:] = apply_perturbation(state, row, intensity)

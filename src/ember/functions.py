@@ -162,7 +162,8 @@ def _expand_cyclic(pair):
     def wrapped(x: np.ndarray):
         if x.shape[-1] == 2:
             return pair(*_split(x))
-        return np.add.reduce(pair(x, np.roll(x, -1, axis=-1), operator.pow), axis=-1)
+        partner = np.concatenate((x[..., 1:], x[..., :1]), axis=-1)  # x_{i+1 mod n}
+        return np.add.reduce(pair(x, partner, operator.pow), axis=-1)
 
     return wrapped
 

@@ -18,13 +18,15 @@ fixed column set::
     execution_time_s,total_distance,distance_per_unit_time,iterations_run,status
 
 Beside it, ``<output>/cells.jsonl`` holds one JSON object per cell, in the
-same order: ``{"key", "derived_seed", "status", "message"}``, where the
-message says why a cell failed or was skipped. Optional per-run histories go
-to ``<output>/histories/<cell-key>.csv``. A history lives in one place: in its
-file when the grid has an output directory, otherwise on its record. The
-process that ran the cell writes the file and returns the record with
-``history=None``, so no history crosses to the parent and a grid's memory does
-not grow with its budget; a write that fails makes only that cell an error.
+same order: ``{"key", "derived_seed", "status", "message", "evaluations"}``,
+where the message says why a cell failed or was skipped and ``evaluations``
+counts the points the run valued (null for skips and errors). Optional
+per-run histories go to ``<output>/histories/<cell-key>.csv``. A history
+lives in one place: in its file when the grid has an output directory,
+otherwise on its record. The process that ran the cell writes the file and
+returns the record with ``history=None``, so no history crosses to the parent
+and a grid's memory does not grow with its budget; a write that fails makes
+only that cell an error.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class RunRecord:
     total_distance: float | None = None
     distance_per_unit_time: float | None = None
     iterations_run: int | None = None
+    evaluations: int | None = None
     status: str = "ok"
     message: str = ""
     history: list[float] | None = field(default=None, repr=False)
@@ -292,7 +295,8 @@ def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOu
     speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     return replace(cell, best_fitness=outcome.best_fitness, execution_time=outcome.execution_time,
                    total_distance=outcome.total_distance, distance_per_unit_time=speed,
-                   iterations_run=outcome.iterations_run), outcome
+                   iterations_run=outcome.iterations_run,
+                   evaluations=outcome.evaluations), outcome
 
 
 def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
@@ -366,7 +370,8 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
                 handle.flush()
                 seed = derive_cell_seed(grid.master_seed, record.cell_key)
                 log.write(json.dumps({"key": record.cell_key, "derived_seed": seed,
-                                      "status": record.status, "message": record.message}) + "\n")
+                                      "status": record.status, "message": record.message,
+                                      "evaluations": record.evaluations}) + "\n")
                 log.flush()
             records.append(record)
     return records
@@ -437,21 +442,15 @@ class SummaryRow:
     distance_per_unit_time: float
 
 
-def summarize(records, dimensions=None) -> list[SummaryRow]:
-    """Aggregate successful records per algorithm, optionally filtered.
+def summarize(records) -> list[SummaryRow]:
+    """Aggregate successful records per algorithm.
 
-    ``dimensions`` restricts the aggregation to a set of dimensions. Rows are
-    sorted by algorithm name; single-record groups report a std of zero.
+    Rows are sorted by algorithm name; single-record groups report a std of zero.
     """
-    if dimensions is not None:
-        dimensions = set(dimensions)
     groups: dict[str, list[RunRecord]] = {}
     for record in records:
-        if record.status != "ok":
-            continue
-        if dimensions is not None and record.dimension not in dimensions:
-            continue
-        groups.setdefault(record.algorithm, []).append(record)
+        if record.status == "ok":
+            groups.setdefault(record.algorithm, []).append(record)
     rows = []
     for algorithm in sorted(groups):
         bucket = groups[algorithm]
@@ -527,15 +526,7 @@ class RankingReport:
         }
 
 
-def _registry_minimum(function: str, dimension: int) -> float | None:
-    try:
-        value, _ = known_minimum(function, dimension)
-    except EmberError:
-        return None
-    return value
-
-
-def rank_top3(records, known_lookup=_registry_minimum) -> RankingReport:
+def rank_top3(records) -> RankingReport:
     """Rank algorithms within every setting and count top-3 appearances.
 
     Categories: longest/shortest mean execution time, and most/least accurate
@@ -555,7 +546,10 @@ def rank_top3(records, known_lookup=_registry_minimum) -> RankingReport:
     global_counts: dict[str, dict[str, int]] = {c: {} for c in CATEGORIES}
     for key in sorted(buckets):
         by_algo = buckets[key]
-        known = known_lookup(key[0], key[1])
+        try:
+            known, _ = known_minimum(key[0], key[1])
+        except EmberError:  # no published minimum
+            known = None
         times = {}
         errors = {}
         for algorithm, bucket in by_algo.items():

@@ -1,6 +1,6 @@
 """The run driver (:func:`driven`), the one routine that turns visited positions
-into ``total_distance``; run outcomes; and evaluation plumbing shared by every
-optimizer."""
+into ``total_distance``; run outcomes; and the :class:`Evaluator`, each run's one
+path to its objective, which checks, batches and counts every evaluation."""
 
 from __future__ import annotations
 
@@ -19,61 +19,58 @@ def batch_capable(fn):
 
     A marked callable takes an ``(n, d)`` array and returns its ``n`` values,
     each bit for bit what the callable gives for that row alone.
-    :func:`evaluate_rows` hands a marked objective the whole batch in one call.
+    :meth:`Evaluator.rows` hands a marked objective the whole batch in one call.
     """
     fn.batch_capable = True
     return fn
 
 
-def _non_finite(point, value) -> EvaluationError:
-    return EvaluationError(
-        f"objective returned non-finite value {value!r}",
-        agent=np.array(point, copy=True),
-        value=value,
-    )
+class Evaluator:
+    """One run's objective. Calling it values one point; ``count`` is the number
+    of points valued so far. A non-finite value raises :class:`EvaluationError`
+    carrying the offending point and value."""
 
+    __slots__ = ("objective", "batched", "count")
 
-def evaluate_checked(objective, point) -> float:
-    """Call the objective and reject non-finite results.
+    def __init__(self, objective):
+        self.objective = objective
+        self.batched = getattr(objective, "batch_capable", False)
+        self.count = 0
 
-    Raises :class:`EvaluationError` carrying the offending point, so a failed
-    run can report where the objective broke down.
-    """
-    value = float(objective(point))
-    if not math.isfinite(value):
-        raise _non_finite(point, value)
-    return value
+    def __call__(self, point) -> float:
+        value = float(self.objective(point))
+        self.count += 1
+        if math.isfinite(value):
+            return value
+        raise EvaluationError(f"objective returned non-finite value {value!r}",
+                              agent=np.array(point, copy=True), value=value)
 
-
-def evaluate_rows(objective, rows) -> np.ndarray:
-    """Evaluate every row of ``rows`` and reject non-finite results.
-
-    A :func:`batch_capable` objective gets one call with the whole array; any
-    other callable gets one :func:`evaluate_checked` call per row. Either way
-    the first non-finite row in index order raises :class:`EvaluationError`.
-    """
-    if not getattr(objective, "batch_capable", False):
-        values = np.empty(len(rows))
-        for i in range(len(rows)):
-            values[i] = evaluate_checked(objective, rows[i])
+    def rows(self, rows) -> np.ndarray:
+        """The values of the rows of a 2-D array, in one call when the objective is
+        :func:`batch_capable` and one call per row otherwise. Either way the first
+        non-finite row in index order raises :class:`EvaluationError`."""
+        if not self.batched:
+            return np.array([self(row) for row in rows], dtype=float)
+        values = np.asarray(self.objective(rows), dtype=float)
+        if values.shape != (len(rows),):
+            raise EvaluationError(f"batched objective returned shape {values.shape} "
+                                  f"for {len(rows)} rows")
+        self.count += len(rows)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            value = float(values[first])
+            raise EvaluationError(f"objective returned non-finite value {value!r}",
+                                  agent=np.array(rows[first], copy=True), value=value)
         return values
-    values = np.asarray(objective(rows), dtype=float)
-    if values.shape != (len(rows),):
-        raise EvaluationError(
-            f"batched objective returned shape {values.shape} for {len(rows)} rows"
-        )
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise _non_finite(rows[first], float(values[first]))
-    return values
 
 
-def initial_population(rng, lower, upper, size, objective):
-    """Uniform rows of shape ``size`` and their checked values, with a copy of
-    the best row (the first index wins ties) and its value."""
+def initial_population(rng, lower, upper, size, evaluate):
+    """Uniform rows of shape ``size`` and their values from the
+    :class:`Evaluator` ``evaluate``, with a copy of the best row (the first
+    index wins ties) and its value."""
     rows = rng.uniform(lower, upper, size=size)
-    fitness = evaluate_rows(objective, rows)
+    fitness = evaluate.rows(rows)
     best = int(fitness.argmin())
     return rows, fitness, rows[best].copy(), float(fitness[best])
 
@@ -99,6 +96,7 @@ class RunOutcome:
     always equals the last history entry when the history is non-empty.
     ``iterations_run`` is the final value of the optimizer's iteration
     counter (equal to the requested budget when no early stop fired).
+    ``evaluations`` is the number of points the run's :class:`Evaluator` valued.
     """
 
     best_agent: np.ndarray
@@ -107,14 +105,17 @@ class RunOutcome:
     execution_time: float = 0.0
     total_distance: float = 0.0
     iterations_run: int = 0
+    evaluations: int = 0
 
 
 def driven(steps):
     """Turn an optimizer's step generator into a runner returning a :class:`RunOutcome`.
 
-    ``steps`` yields ``(None, best_agent, best_fitness)`` after initialization,
-    then ``(moved, best_agent, best_fitness)`` after each iteration, and
-    returns its iteration counter. ``moved`` is the point or the 2-D block of
+    The runner ``(spec, objective, domain)`` runs ``steps(spec, evaluate, domain)``
+    with ``evaluate`` an :class:`Evaluator` of ``objective``, whose count is
+    ``RunOutcome.evaluations``. ``steps`` yields ``(None, best_agent, best_fitness)``
+    after initialization, then ``(moved, best_agent, best_fitness)`` after each
+    iteration, and returns its iteration counter. ``moved`` is the point or the 2-D block of
     rows the iteration visited, in order. The one timer covers initialization
     and every iteration, so execution time means the same for every optimizer.
     ``total_distance`` is the length of the path through the visited rows, in
@@ -123,9 +124,10 @@ def driven(steps):
     """
 
     @functools.wraps(steps)
-    def run(*args, **kwargs) -> RunOutcome:
+    def run(spec, objective, domain) -> RunOutcome:
         start = time.perf_counter()
-        run_steps = steps(*args, **kwargs)
+        evaluate = Evaluator(objective)
+        run_steps = steps(spec, evaluate, domain)
         _, best_agent, best_fitness = next(run_steps)
         last = np.empty((0, np.size(best_agent)))
         total = 0.0
@@ -144,6 +146,7 @@ def driven(steps):
             last = path[-1:]
             history.append(best_fitness)
         elapsed = time.perf_counter() - start
-        return RunOutcome(best_agent, best_fitness, history, elapsed, total, iterations_run)
+        return RunOutcome(best_agent, best_fitness, history, elapsed, total, iterations_run,
+                          evaluate.count)
 
     return run

@@ -30,12 +30,12 @@ from ember.harness import (
     run_grid,
     summarize,
 )
-from ember.recording import path_length
+from ember.recording import Evaluator, path_length
 
 
-def _ffo_state(objective, dimension, num_agents, seed, **overrides):
+def _ffo_state(evaluate, dimension, num_agents, seed, **overrides):
     params = resolve_params("ffo", overrides, num_agents)
-    return initialize(params, DomainBox(-5.12, 5.12, dimension), num_agents, seed, objective)
+    return initialize(params, DomainBox(-5.12, 5.12, dimension), num_agents, seed, evaluate)
 
 
 def _ffo_run(objective, dimension, num_agents, max_iter, seed, **overrides):
@@ -126,11 +126,11 @@ def test_criterion_03_run_properties_hold_across_a_grid():
         assert np.all(diffs <= 0), f"{record.cell_key} history increased"
 
     # (b) FFO population stays inside the bounds at every iteration
-    objective = make_objective("rastrigin", 2)
-    state = _ffo_state(objective, 2, 10, 3)
+    evaluate = Evaluator(make_objective("rastrigin", 2))
+    state = _ffo_state(evaluate, 2, 10, 3)
     lower, upper = state.bounds
     while not should_terminate(state, 40):
-        update_agents(state, objective)
+        update_agents(state, evaluate)
         cooling_schedule(state)
         state.iteration += 1
         assert np.all(state.agents >= lower) and np.all(state.agents <= upper)
@@ -161,10 +161,11 @@ def test_criterion_03_run_properties_hold_across_a_grid():
 def test_criterion_04_streaming_distance_matches_brute_force():
     start = time.perf_counter()
     objective = make_objective("sphere", 2)
-    state = _ffo_state(objective, 2, 3, 8)
+    evaluate = Evaluator(objective)
+    state = _ffo_state(evaluate, 2, 3, 8)
     visited = []
     while not should_terminate(state, 5):
-        visited.extend(update_agents(state, objective))
+        visited.extend(update_agents(state, evaluate))
         cooling_schedule(state)
         state.iteration += 1
     streaming = _ffo_run(objective, 2, 3, 5, 8).total_distance
@@ -189,9 +190,10 @@ def test_criterion_05_termination_semantics_over_random_configs():
         if params["use_additional_conditions"]:
             # replay the run loop through the public operations so the final
             # counter is observable at the moment the loop exits
-            state = _ffo_state(objective, 3, num_agents, seed, **params)
+            evaluate = Evaluator(objective)
+            state = _ffo_state(evaluate, 3, num_agents, seed, **params)
             while not should_terminate(state, max_iter):
-                update_agents(state, objective)
+                update_agents(state, evaluate)
                 cooling_schedule(state)
                 state.iteration += 1
             # the counter increments once per pass and the loop stops as soon

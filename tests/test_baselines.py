@@ -20,7 +20,7 @@ from ember.baselines import (
 from ember.errors import ConfigError
 from ember.ffo import one_point_crossover
 from ember.functions import DomainBox, domain_box, make_objective
-from ember.recording import RunOutcome, evaluate_rows
+from ember.recording import Evaluator, RunOutcome
 
 BOX = DomainBox(-5.12, 5.12, 2)
 
@@ -263,7 +263,8 @@ def _reference_ga(spec, objective, domain):
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population = rng.uniform(domain.lower, domain.upper, size=(n, d))
-    fitness = evaluate_rows(objective, population)
+    evaluate = Evaluator(objective)
+    fitness = evaluate.rows(population)
 
     def select():
         contenders = rng.integers(n, size=tournament)
@@ -284,7 +285,7 @@ def _reference_ga(spec, objective, domain):
                 steps = rng.normal(0.0, sigma, size=d)
                 next_population.append(np.where(mask, child + steps, child))
         population = np.clip(np.array(next_population), domain.lower, domain.upper)
-        fitness = evaluate_rows(objective, population)
+        fitness = evaluate.rows(population)
         populations.append(population)
     return populations
 
@@ -298,7 +299,8 @@ def _per_pair_ga(spec, objective, domain):
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population = rng.uniform(domain.lower, domain.upper, size=(n, d))
-    fitness = evaluate_rows(objective, population)
+    evaluate = Evaluator(objective)
+    fitness = evaluate.rows(population)
     pairs = math.ceil((n - elitism) / 2)
 
     def winner(contenders):
@@ -326,7 +328,7 @@ def _per_pair_ga(spec, objective, domain):
                 if len(next_population) < n:
                     next_population.append(np.where(mask[k], child + steps[k], child))
         population = np.clip(np.array(next_population), domain.lower, domain.upper)
-        fitness = evaluate_rows(objective, population)
+        fitness = evaluate.rows(population)
         populations.append(population)
     return populations
 
@@ -354,7 +356,7 @@ def test_ga_tournament_ties_go_to_the_earlier_contender():
 
 
 def _assert_replays(spec, objective, domain):
-    steps = baselines.run_ga.__wrapped__(spec, objective, domain)
+    steps = baselines.run_ga.__wrapped__(spec, Evaluator(objective), domain)
     next(steps)
     for reference in _per_pair_ga(spec, objective, domain)[1:]:
         population, _, _ = next(steps)
@@ -386,7 +388,7 @@ def test_batched_ga_matches_the_per_child_algorithm_in_distribution(function, d)
     def spec(seed):
         return OptimizerSpec(name="ga", max_iter=40, num_agents=12, seed=seed)
 
-    before = [min(evaluate_rows(objective, p).min()
+    before = [min(Evaluator(objective).rows(p).min()
                   for p in _reference_ga(spec(seed), objective, domain))
               for seed in range(30)]
     after = [run_optimizer(spec(seed), objective, domain).best_fitness

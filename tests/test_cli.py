@@ -43,6 +43,7 @@ def test_run_prints_metrics_and_exits_zero(capsys):
     assert code == 0
     assert float(grab(out, "best_fitness")) < 1.0
     assert int(grab(out, "iterations_run")) == 60
+    assert int(grab(out, "evaluations")) == 15 * (60 + 1)  # the population, then 15 per iteration
     assert float(grab(out, "total_distance")) > 0.0
     assert grab(out, "algorithm") == "pso"
 
@@ -53,7 +54,7 @@ def test_run_repeats_identically(capsys):
     code1, out1, _ = run_cli(capsys, argv)
     code2, out2, _ = run_cli(capsys, argv)
     assert code1 == code2 == 0
-    for key in ("best_fitness", "best_agent", "iterations_run", "total_distance"):
+    for key in ("best_fitness", "best_agent", "iterations_run", "evaluations", "total_distance"):
         assert grab(out1, key) == grab(out2, key)
 
 
@@ -291,7 +292,8 @@ def test_run_reproduces_every_grid_row(capsys, tmp_path):
     with (out_dir / "results.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20
-    for row in rows:
+    cells = [json.loads(line) for line in (out_dir / "cells.jsonl").read_text().splitlines()]
+    for row, cell in zip(rows, cells):
         key = "__".join((row["algorithm"], row["function"], f"d{row['dimension']}",
                          f"a{row['agents']}", f"i{row['max_iter']}", f"s{row['seed']}"))
         history = tmp_path / "run" / f"{key}.csv"
@@ -303,6 +305,7 @@ def test_run_reproduces_every_grid_row(capsys, tmp_path):
         assert code == 0, key
         for column in ("best_fitness", "total_distance", "iterations_run"):
             assert grab(out, column) == row[column], (key, column)
+        assert cell["key"] == key and int(grab(out, "evaluations")) == cell["evaluations"], key
         assert history.read_bytes() == (out_dir / "histories" / f"{key}.csv").read_bytes(), key
 
 

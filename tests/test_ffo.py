@@ -22,7 +22,7 @@ from ember.ffo import (
     update_agents,
 )
 from ember.functions import DomainBox
-from ember.recording import path_length
+from ember.recording import Evaluator, path_length
 
 BOUNDS = (-5.12, 5.12)
 
@@ -34,7 +34,8 @@ def sphere(x):
 def small_state(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, seed=3,
                 **overrides):
     params = resolve_params("ffo", overrides, num_agents)
-    return initialize(params, DomainBox(*bounds, dimension), num_agents, seed, objective)
+    return initialize(params, DomainBox(*bounds, dimension), num_agents, seed,
+                      Evaluator(objective))
 
 
 def ffo_run(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20, seed=3,
@@ -170,12 +171,12 @@ def test_initialize_population_and_best():
 def test_evaluate_agents_counter_semantics():
     state = small_state()
     state.best_global_fitness = -1.0  # unbeatable, sphere is non-negative
-    evaluate_agents(state, sphere)
-    evaluate_agents(state, sphere)
+    evaluate_agents(state, Evaluator(sphere))
+    evaluate_agents(state, Evaluator(sphere))
     assert state.no_improve_counter == 2  # one increment per call, not per agent
     state.agents[0] = np.zeros(2)
     state.best_global_fitness = 5.0
-    evaluate_agents(state, sphere)
+    evaluate_agents(state, Evaluator(sphere))
     assert state.no_improve_counter == 0
     assert state.best_global_fitness == 0.0
 
@@ -183,9 +184,9 @@ def test_evaluate_agents_counter_semantics():
 def test_evaluate_agents_tie_is_not_improvement():
     state = small_state()
     state.agents[0] = np.zeros(2)
-    evaluate_agents(state, sphere)
+    evaluate_agents(state, Evaluator(sphere))
     assert state.no_improve_counter == 0
-    evaluate_agents(state, sphere)  # same minimum again: a tie
+    evaluate_agents(state, Evaluator(sphere))  # same minimum again: a tie
     assert state.no_improve_counter == 1
 
 
@@ -199,7 +200,7 @@ def test_local_search_greedy_at_zero_temperature():
         seen.append(value)
         return value
 
-    result = local_search(state, state.agents[0].copy(), recording)
+    result = local_search(state, state.agents[0].copy(), Evaluator(recording))
     assert sphere(result) == min(seen)
 
 
@@ -211,11 +212,11 @@ def test_local_search_candidate_count_grows_with_stagnation():
         calls.append(1)
         return sphere(x)
 
-    local_search(state, state.agents[0].copy(), counting)
+    local_search(state, state.agents[0].copy(), Evaluator(counting))
     assert len(calls) == 11  # incumbent + 10 candidates
     calls.clear()
     state.no_improve_counter = 250
-    local_search(state, state.agents[0].copy(), counting)
+    local_search(state, state.agents[0].copy(), Evaluator(counting))
     assert len(calls) == 21  # incumbent + 10 + 5 * (250 // 100)
 
 
@@ -268,7 +269,7 @@ def test_update_agents_keeps_population_in_bounds():
     state = small_state(num_agents=12, seed=5)
     lower, upper = BOUNDS
     for _ in range(30):
-        update_agents(state, sphere)
+        update_agents(state, Evaluator(sphere))
         cooling_schedule(state)
         state.iteration += 1
         assert np.all(state.agents >= lower) and np.all(state.agents <= upper)
@@ -281,7 +282,7 @@ def test_update_agents_single_coordinate_skips_crossover():
     state = small_state(dimension=1, crossover_probability=1.0, mutation_probability=0.0, seed=2)
     shadow = np.random.default_rng(2)
     shadow.uniform(*BOUNDS, size=(8, 1))
-    update_agents(state, sphere)
+    update_agents(state, Evaluator(sphere))
     for _ in range(8):
         shadow.random()  # mutation gates
     assert state.rng.random() == shadow.random()  # generators in lockstep
@@ -298,7 +299,7 @@ def test_update_agents_crossover_replays_one_point_crossover(num_agents):
     agents = shadow.uniform(*BOUNDS, size=(num_agents, 4))
     self_partnered = 0
     for _ in range(6):
-        moved = update_agents(state, sphere)
+        moved = update_agents(state, Evaluator(sphere))
         expected = np.empty_like(agents)
         for i in range(num_agents):
             if shadow.random() < 0.7:
@@ -359,7 +360,7 @@ def test_streaming_distance_matches_resummed_path():
     state = small_state(num_agents=5, seed=13)
     visited = []
     while not should_terminate(state, 12):
-        visited.extend(update_agents(state, sphere))
+        visited.extend(update_agents(state, Evaluator(sphere)))
         cooling_schedule(state)
         state.iteration += 1
     assert len(visited) == 11 * 5
@@ -396,7 +397,7 @@ def test_non_finite_local_search_candidate_raises_evaluation_error():
         return sphere(x)
 
     state = small_state(nan_outside_box, **settings)
-    evaluate_agents(state, nan_outside_box)  # every population row is finite
+    evaluate_agents(state, Evaluator(nan_outside_box))  # every population row is finite
     with pytest.raises(EvaluationError) as exc:
         ffo_run(nan_outside_box, **settings)
     assert np.any(np.abs(exc.value.agent) > 1.0)

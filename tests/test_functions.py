@@ -7,6 +7,7 @@ failure.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ember.functions as functions
 from ember.errors import DimensionError, InputError, UnknownFunctionError
 from ember.functions import (
     DomainBox,
@@ -413,6 +415,32 @@ def test_whitley_buffers_match_plain_expression(dimension):
     assert whitley(points[:60]).tobytes() == expected[:60].tobytes()
     assert whitley(points).tobytes() == expected.tobytes()
     assert whitley(points[:0]).shape == (0,)
+
+
+CYCLIC_KERNELS = {
+    "easom": functions._pair_easom,
+    "eggholder": functions._pair_eggholder,
+    "expanded_schaffer_f6": functions._pair_schaffer_f6,
+    "goldstein_price": functions._pair_goldstein_price,
+    "schaffer_n2": functions._pair_schaffer_n2,
+}
+
+
+def _roll_form(pair, x):
+    # the cyclic sum with its partner x_{i+1 mod n} built by np.roll
+    return np.add.reduce(pair(x, np.roll(x, -1, axis=-1), operator.pow), axis=-1)
+
+
+@pytest.mark.parametrize("dimension", [3, 20, 50])
+@pytest.mark.parametrize("name", sorted(CYCLIC_KERNELS))
+def test_cyclic_expansion_matches_roll_form(name, dimension):
+    fn = get_function(name)
+    pair = CYCLIC_KERNELS[name]
+    rng = np.random.default_rng(dimension)
+    points = rng.uniform(*fn.domain, size=(500, dimension))
+    assert fn.evaluator(points).tobytes() == _roll_form(pair, points).tobytes()
+    singles = np.array([fn.evaluator(x) for x in points[:100]])
+    assert singles.tobytes() == np.array([_roll_form(pair, x) for x in points[:100]]).tobytes()
 
 
 # ---------------------------------------------------------------------------

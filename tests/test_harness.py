@@ -468,7 +468,8 @@ def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
     assert cells == [
         {"key": record.cell_key,
          "derived_seed": derive_cell_seed(grid.master_seed, record.cell_key),
-         "status": record.status, "message": record.message}
+         "status": record.status, "message": record.message,
+         "evaluations": record.evaluations}
         for record in records
     ]
     by_setting = {(r.function, r.dimension): cell for r, cell in zip(records, cells)}
@@ -479,9 +480,12 @@ def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
         "derived_seed": derive_cell_seed(0, "pso__booth__d20__a8__i25__s0"),
         "status": "skipped",
         "message": "booth is not tagged scalable; dimension 20 skipped",
+        "evaluations": None,
     }
+    assert by_setting["sphere", 2]["evaluations"] is None
     assert by_setting["booth", 2]["status"] == "ok"
     assert by_setting["booth", 2]["message"] == ""
+    assert by_setting["booth", 2]["evaluations"] == 8 * (25 + 1)  # PSO: N(K+1)
 
 
 def test_failed_future_message_names_the_exception(monkeypatch):
@@ -574,7 +578,7 @@ def test_summarize_skips_failed_and_filtered_records():
         _record("x", None, None, None, dimension=2, status="error"),
         _record("x", None, None, None, dimension=20, status="skipped"),
     ]
-    rows = summarize(records, dimensions={2})
+    rows = summarize([r for r in records if r.dimension == 2])
     assert len(rows) == 1
     assert rows[0].best_fitness.mean == 1.0
     assert summarize([r for r in records if r.status != "ok"]) == []
@@ -643,9 +647,12 @@ def test_rank_top3_falls_back_to_raw_fitness_without_known_minimum():
     # no published minimum: lower raw fitness counts as more accurate
     assert tops["most_accurate"][0] == "deep_negative"
 
-    # with a known minimum of zero, |0.01| beats |-1.8|
-    report_known = rank_top3(records, known_lookup=lambda f, d: 0.0)
-    tops_known = report_known.per_setting[("michalewicz", 2, 10, 100)]
+    # sphere publishes a minimum of zero, so |0.01| beats |-1.8|
+    report_known = rank_top3([
+        _record("close_to_zero", 0.01, 1.0, 1.0),
+        _record("deep_negative", -1.8, 2.0, 1.0),
+    ])
+    tops_known = report_known.per_setting[("sphere", 2, 10, 100)]
     assert tops_known["most_accurate"][0] == "close_to_zero"
 
 

@@ -1,11 +1,13 @@
-"""Evaluation plumbing shared by every optimizer, and the run driver's path length."""
+"""The evaluator every run values points through, its counts, and the run
+driver's path length."""
 
 import numpy as np
 import pytest
 
+from ember import OptimizerSpec, domain_box, run_optimizer
 from ember.errors import EvaluationError
 from ember.functions import list_functions, make_objective
-from ember.recording import batch_capable, driven, evaluate_rows, path_length
+from ember.recording import Evaluator, batch_capable, driven, path_length
 
 
 def _rows(n=6, d=4, seed=0):
@@ -13,7 +15,7 @@ def _rows(n=6, d=4, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_rows
+# Evaluator
 
 
 def test_registry_objectives_are_batch_capable():
@@ -32,10 +34,10 @@ def test_batched_and_per_row_paths_agree():
         calls.append(x.shape)
         return objective(x)
 
-    batched = evaluate_rows(objective, rows)
-    looped = evaluate_rows(per_point, rows)
+    batched, looped = Evaluator(objective), Evaluator(per_point)
+    assert batched.rows(rows).tobytes() == looped.rows(rows).tobytes()
     assert calls == [(20,)] * len(rows)  # an unmarked callable sees one point per call
-    assert batched.tobytes() == looped.tobytes()
+    assert batched.count == looped.count == len(rows)
 
 
 def test_batched_objective_gets_one_call():
@@ -46,9 +48,25 @@ def test_batched_objective_gets_one_call():
         calls.append(x.shape)
         return np.sum(x**2, axis=-1)
 
-    values = evaluate_rows(sphere, _rows())
+    evaluate = Evaluator(sphere)
+    values = evaluate.rows(_rows())
     assert calls == [(6, 4)]
     assert values.shape == (6,)
+    assert evaluate.count == 6
+
+
+def test_single_point_is_checked_and_counted():
+    evaluate = Evaluator(lambda x: np.float64(np.sum(x)))
+    value = evaluate(np.array([1.0, 2.0]))
+    assert type(value) is float and value == 3.0
+    evaluate(np.array([0.5, 0.5]))
+    assert evaluate.count == 2
+    point = np.array([np.inf, 1.0])
+    with pytest.raises(EvaluationError, match="non-finite value inf") as exc:
+        evaluate(point)
+    point[0] = 0.0
+    assert exc.value.agent[0] == np.inf  # the error keeps its own copy of the point
+    assert exc.value.value == np.inf
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -60,9 +78,9 @@ def test_batched_non_finite_matches_per_row_error(bad):
 
     batched = batch_capable(lambda x: np.where(x[:, 0] > 0.0, bad, np.sum(x**2, axis=-1)))
     with pytest.raises(EvaluationError) as looped:
-        evaluate_rows(per_point, rows)
+        Evaluator(per_point).rows(rows)
     with pytest.raises(EvaluationError) as at_once:
-        evaluate_rows(batched, rows)
+        Evaluator(batched).rows(rows)
     first = int(np.argmax(rows[:, 0] > 0.0))
     for exc in (looped.value, at_once.value):
         assert np.array_equal(exc.agent, rows[first])
@@ -73,7 +91,45 @@ def test_batched_non_finite_matches_per_row_error(bad):
 def test_batched_wrong_shape_is_rejected():
     scalar = batch_capable(lambda x: float(np.sum(x)))
     with pytest.raises(EvaluationError, match="shape"):
-        evaluate_rows(scalar, _rows())
+        Evaluator(scalar).rows(_rows())
+
+
+# ---------------------------------------------------------------------------
+# evaluation counts of whole runs
+
+AGENTS, ITERATIONS, SEED = 12, 40, 7  # the fingerprint matrix of tests/test_fingerprint.py
+
+# FFO's count depends on how often its agents enter local search, so it has no
+# formula: these are the counts of one counting run per case.
+FFO_EVALUATIONS = {
+    ("sphere", 2): 1041, ("sphere", 20): 964,
+    ("rastrigin", 2): 1063, ("rastrigin", 20): 975,
+    ("whitley", 2): 953, ("whitley", 20): 975,
+}
+EXPECTED_EVALUATIONS = {
+    "sa": ITERATIONS + 1,  # the start point, then one proposal per iteration
+    "hs": AGENTS + ITERATIONS,  # the memory, then one harmony per iteration
+    "pso": AGENTS * (ITERATIONS + 1),  # the swarm, then every particle per iteration
+    "ga": AGENTS * (ITERATIONS + 1),  # the population, then every child per generation
+}
+
+
+@pytest.mark.parametrize("algorithm", ["ffo", "ga", "hs", "pso", "sa"])
+@pytest.mark.parametrize("function,dimension", sorted(FFO_EVALUATIONS))
+def test_run_evaluation_counts(algorithm, function, dimension):
+    objective = make_objective(function, dimension)
+    calls = []
+
+    def per_point(x):  # unmarked, so the run calls it once per point
+        calls.append(1)
+        return objective(x)
+
+    spec = OptimizerSpec(algorithm, max_iter=ITERATIONS, num_agents=AGENTS, seed=SEED)
+    domain = domain_box(function, dimension)
+    batched = run_optimizer(spec, objective, domain)
+    looped = run_optimizer(spec, per_point, domain)
+    expected = EXPECTED_EVALUATIONS.get(algorithm, FFO_EVALUATIONS[function, dimension])
+    assert batched.evaluations == looped.evaluations == len(calls) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +142,7 @@ def _total_distance(groups, d, overwrite):
     right after the yield."""
 
     @driven
-    def steps():
+    def steps(spec, evaluate, domain):
         yield None, np.zeros(d), 0.0
         for group in groups:
             moved = np.array(group) if overwrite else group
@@ -95,7 +151,7 @@ def _total_distance(groups, d, overwrite):
                 moved[...] = np.nan
         return len(groups)
 
-    return steps().total_distance
+    return steps(None, None, None).total_distance
 
 
 @pytest.mark.parametrize("overwrite", [True, False])
