@@ -27,12 +27,12 @@ from .functions import get_function, validate_registry
 from .harness import (
     CATEGORIES,
     RunRecord,
+    export_history,
     grid_from_mapping,
     rank_top3,
     run_cell,
     run_grid,
     summarize,
-    write_history,
     write_summary_csv,
 )
 
@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
     print(f"total_distance: {record.total_distance}")
     print(f"distance_per_unit_time: {record.distance_per_unit_time}")
     if args.out is not None:
-        path = write_history(outcome.fitness_history, args.out)
+        path = export_history(outcome.fitness_history, args.out)
         print(f"history: {path}")
     return EXIT_OK
 
@@ -200,6 +200,12 @@ def main(argv=None) -> int:
     except EmberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
+    except BrokenPipeError:  # stdout's reader has gone, e.g. `| head`: not a configuration error
+        # point stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILURE
     except OSError as exc:  # an output path that cannot be written, e.g. --out naming a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

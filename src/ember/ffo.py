@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .recording import initial_population
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "evaluate_agents",
     "initialize",
     "local_search",
-    "one_point_crossover",
     "perturbation_intensity",
     "should_terminate",
     "update_agents",
@@ -120,31 +118,6 @@ def evaluate_agents(state: FFOState, evaluate) -> None:
         state.no_improve_counter += 1
 
 
-def one_point_crossover(parent1, parent2, rng=None, point=None):
-    """Swap tails of two equal-length parents after a cut point.
-
-    The cut point is uniform on {1, ..., d-1} when not given explicitly, so
-    each child keeps at least one coordinate from each parent. Both parents
-    must have at least two coordinates.
-    """
-    p1 = np.asarray(parent1, dtype=float)
-    p2 = np.asarray(parent2, dtype=float)
-    if p1.shape != p2.shape:
-        raise InputError(f"parent shapes differ: {p1.shape} vs {p2.shape}")
-    d = p1.size
-    if d < 2:
-        raise InputError("crossover needs at least two coordinates")
-    if point is None:
-        if rng is None:
-            raise InputError("either rng or point must be provided")
-        point = int(rng.integers(1, d))
-    if not 1 <= point <= d - 1:
-        raise InputError(f"cut point must lie in [1, {d - 1}], got {point}")
-    child1 = np.concatenate([p1[:point], p2[point:]])
-    child2 = np.concatenate([p2[:point], p1[point:]])
-    return child1, child2
-
-
 def local_search(state: FFOState, agent: np.ndarray, evaluate) -> np.ndarray:
     """Annealing refinement of one agent.
 
@@ -181,14 +154,14 @@ def update_agents(state: FFOState, evaluate) -> np.ndarray:
 
     Evaluates the population first, then sweeps agents in index order through
     crossover, optional local search, the stagnation perturbation and
-    clipping. Crossover swaps the tails of the agent and its partner in place
-    (the draws and values of :func:`one_point_crossover`), and the partner
-    index may equal the agent's own (a no-op, as the children of two identical
-    parents are that parent). With a single coordinate there is no cut point,
-    so the crossover branch is skipped entirely. Row ``i`` of the returned
-    array is agent ``i``'s position as it left its own update (a later
-    crossover may still overwrite the agent as a partner); the rows are the
-    sweep's part of the trajectory, in visiting order.
+    clipping. Crossover draws a partner index uniform on {0, ..., N-1} and a
+    cut point uniform on {1, ..., d-1}, then swaps the coordinates from the
+    cut point on between the agent and its partner, in place. The partner may
+    be the agent itself, and then nothing changes. With a single coordinate
+    there is no cut point, so the crossover branch is skipped entirely. Row
+    ``i`` of the returned array is agent ``i``'s position as it left its own
+    update (a later crossover may still overwrite the agent as a partner); the
+    rows are the sweep's part of the trajectory, in visiting order.
     """
     evaluate_agents(state, evaluate)
     params = state.params

@@ -21,12 +21,11 @@ Beside it, ``<output>/cells.jsonl`` holds one JSON object per cell, in the
 same order: ``{"key", "derived_seed", "status", "message", "evaluations"}``,
 where the message says why a cell failed or was skipped and ``evaluations``
 counts the points the run valued (null for skips and errors). Optional
-per-run histories go to ``<output>/histories/<cell-key>.csv``. A history
-lives in one place: in its file when the grid has an output directory,
-otherwise on its record. The process that ran the cell writes the file and
-returns the record with ``history=None``, so no history crosses to the parent
-and a grid's memory does not grow with its budget; a write that fails makes
-only that cell an error.
+per-run histories go to ``<output>/histories/<cell-key>.csv`` and live only
+there, so a grid that saves them needs an output directory. The process that
+ran the cell writes the file, so no history crosses to the parent and a
+grid's memory does not grow with its budget; a write that fails makes only
+that cell an error.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "summarize",
-    "write_history",
 ]
 
 RESULT_COLUMNS = (
@@ -128,7 +126,6 @@ class RunRecord:
     evaluations: int | None = None
     status: str = "ok"
     message: str = ""
-    history: list[float] | None = field(default=None, repr=False)
 
     @property
     def cell_key(self) -> str:
@@ -286,8 +283,8 @@ def _failed(cell: RunRecord, exc: Exception) -> RunRecord:
 
 def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOutcome]:
     """Run ``cell``'s optimizer with ``params`` and RNG ``seed``: the record
-    filled in with its metrics (no history) and the run's outcome. Raises
-    whatever the run raises."""
+    filled in with its metrics and the run's outcome. Raises whatever the run
+    raises."""
     objective = make_objective(cell.function, cell.dimension)
     domain = domain_box(cell.function, cell.dimension)
     spec = OptimizerSpec(cell.algorithm, params, cell.max_iter, cell.agents, seed)
@@ -302,17 +299,16 @@ def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOu
 def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
     """Run one cell with its parameters, derived seed and history flag from ``grid``.
 
-    With an output directory the cell writes its own history file and returns
-    ``history=None``; a failed write makes it an error record, like any failure.
+    A requested history is written to the cell's file under ``histories/`` here,
+    in the process that ran the cell; a failed write makes it an error record,
+    like any failure.
     """
     try:
         seed = derive_cell_seed(grid.master_seed, cell.cell_key)
         record, outcome = run_cell(cell, grid.params.get(cell.algorithm, {}), seed)
         if grid.save_histories:
-            record.history = list(outcome.fitness_history)
-            if grid.output:
-                export_history(record, Path(grid.output, "histories"))
-                record.history = None  # in its file now; the parent gets a flat record
+            export_history(outcome.fitness_history,
+                           Path(grid.output, "histories", f"{cell.cell_key}.csv"))
     except Exception as exc:  # a failing cell must not abort the grid
         return _failed(cell, exc)
     return record
@@ -324,13 +320,15 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
     With an output path, rows stream to ``results.csv`` and ``cells.jsonl``
     as cells finish (in enumeration order, so reruns are byte-identical).
     Requested histories are written by the process that ran each cell, into
-    ``histories/``, which is the only part of them this function handles: it
-    creates the directory. Without an output path the records keep their
-    histories. Failing cells become ``status=error`` records, and so do cells
-    whose history could not be written and the cells lost when a worker
-    process dies (a broken pool fails every cell still queued on it); the
-    grid always runs to completion.
+    ``histories/``, and live only in those files: this function creates the
+    directory, and raises :class:`ConfigError` before any cell runs when
+    ``save_histories`` has no output path. Failing cells become
+    ``status=error`` records, and so do cells whose history could not be
+    written and the cells lost when a worker process dies (a broken pool
+    fails every cell still queued on it); the grid always runs to completion.
     """
+    if grid.save_histories and not grid.output:
+        raise ConfigError("save_histories needs an output directory")
     cells = enumerate_cells(grid)
     execute = functools.partial(_execute_cell, grid)
     records: list[RunRecord] = []
@@ -377,21 +375,11 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
     return records
 
 
-def export_history(record: RunRecord, directory) -> Path:
-    """Write one run's best-so-far history as ``<cell-key>.csv``.
-
-    Rows are ``iteration,best_fitness`` with iterations numbered from 1; an
-    empty history produces a header-only file.
-    """
-    if record.history is None:
-        raise ConfigError(f"record {record.cell_key} carries no history to export")
-    return write_history(record.history, Path(directory) / f"{record.cell_key}.csv")
-
-
-def write_history(history, path) -> Path:
+def export_history(history, path) -> Path:
     """Write a best-so-far history to ``path`` as ``iteration,best_fitness`` rows.
 
-    Iterations are numbered from 1; missing parent directories are created.
+    Iterations are numbered from 1 and an empty history produces a header-only
+    file; missing parent directories are created.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

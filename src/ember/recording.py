@@ -75,18 +75,6 @@ def initial_population(rng, lower, upper, size, evaluate):
     return rows, fitness, rows[best].copy(), float(fitness[best])
 
 
-def path_length(positions) -> float:
-    """Total Euclidean length of a stored position sequence.
-
-    Brute-force re-summation over consecutive pairs: the reference that the
-    streaming ``total_distance`` of :func:`driven` must equal bit for bit.
-    """
-    total = 0.0
-    for prev, here in zip(positions, positions[1:]):
-        total += float(np.linalg.norm(here - prev))
-    return total
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """What a single optimization run reports back.
@@ -119,8 +107,9 @@ def driven(steps):
     rows the iteration visited, in order. The one timer covers initialization
     and every iteration, so execution time means the same for every optimizer.
     ``total_distance`` is the length of the path through the visited rows, in
-    order, from the first row of the first iteration: step lengths are added one
-    at a time, so it equals :func:`path_length` of the rows however they are yielded.
+    order, from the first row of the first iteration. Step lengths are added one
+    at a time in that order, so the total is the same however the rows are
+    grouped into yields.
     """
 
     @functools.wraps(steps)

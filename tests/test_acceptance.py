@@ -18,7 +18,6 @@ from ember.baselines import OptimizerSpec, resolve_params, run_optimizer
 from ember.ffo import (
     cooling_schedule,
     initialize,
-    one_point_crossover,
     should_terminate,
     update_agents,
 )
@@ -30,7 +29,9 @@ from ember.harness import (
     run_grid,
     summarize,
 )
-from ember.recording import Evaluator, path_length
+from ember.recording import Evaluator
+
+from oracles import one_point_crossover, path_length
 
 
 def _ffo_state(evaluate, dimension, num_agents, seed, **overrides):
@@ -106,7 +107,7 @@ def test_criterion_02_ffo_default_convergence():
     assert elapsed < 60.0
 
 
-def test_criterion_03_run_properties_hold_across_a_grid():
+def test_criterion_03_run_properties_hold_across_a_grid(tmp_path):
     grid = ExperimentGrid(
         algorithms=("ffo", "pso", "sa", "ga", "hs"),
         functions=("sphere", "rastrigin", "booth"),
@@ -114,6 +115,7 @@ def test_criterion_03_run_properties_hold_across_a_grid():
         agent_counts=(10,),
         iteration_counts=(40,),
         seeds=(0, 1),
+        output=str(tmp_path),
         save_histories=True,
     )
     records = run_grid(grid)
@@ -122,7 +124,10 @@ def test_criterion_03_run_properties_hold_across_a_grid():
 
     # (a) best-so-far histories never increase
     for record in ok:
-        diffs = np.diff(record.history)
+        with (tmp_path / "histories" / f"{record.cell_key}.csv").open(newline="") as fh:
+            history = [float(row["best_fitness"]) for row in csv.DictReader(fh)]
+        assert history[-1] == record.best_fitness
+        diffs = np.diff(history)
         assert np.all(diffs <= 0), f"{record.cell_key} history increased"
 
     # (b) FFO population stays inside the bounds at every iteration
@@ -226,23 +231,46 @@ def test_criterion_05_termination_semantics_over_random_configs():
 
 
 def test_criterion_06_crossover_exhaustive():
-    rng = np.random.default_rng(6)
-    cases = 0
+    # FFO's in-place crossover on two agents, replayed by a shadow generator,
+    # until every (dimension, cut point) pair has swapped two distinct agents:
+    # each swap leaves the reference children, and every column keeps its pair
+    # of values
+    cases = set()
+    sweeps = 0
     for d in range(2, 7):
-        p1 = rng.uniform(-10, 10, d)
-        p2 = rng.uniform(-10, 10, d)
-        for point in range(1, d):
-            c1, c2 = one_point_crossover(p1, p2, point=point)
-            assert np.array_equal(c1[:point], p1[:point])
-            assert np.array_equal(c1[point:], p2[point:])
-            assert np.array_equal(c2[:point], p2[:point])
-            assert np.array_equal(c2[point:], p1[point:])
-            for j in range(d):
-                assert {c1[j], c2[j]} == {p1[j], p2[j]}  # per-position pairs
-            s1, s2 = one_point_crossover(p1, p1, point=point)
-            assert np.array_equal(s1, p1) and np.array_equal(s2, p1)
-            cases += 1
-    _announce(6, "crossover structure", f"{cases} (dimension, cut) cases exact")
+        evaluate = Evaluator(make_objective("sphere", d))
+        for seed in range(200):
+            if len({cut for dim, cut in cases if dim == d}) == d - 1:
+                break
+            state = _ffo_state(evaluate, d, 2, seed, crossover_probability=1.0,
+                               mutation_probability=0.0, perturbation_threshold=10**6)
+            shadow = np.random.default_rng(0)
+            shadow.bit_generator.state = state.rng.bit_generator.state
+            before = state.agents.copy()
+            expected = before.copy()
+            for i in range(2):
+                shadow.random()  # crossover gate, always passed
+                partner = int(shadow.integers(2))
+                point = int(shadow.integers(1, d))
+                expected[i], expected[partner] = one_point_crossover(
+                    expected[i], expected[partner], point)
+                shadow.random()  # mutation gate
+                if partner != i:
+                    cases.add((d, point))
+            update_agents(state, evaluate)
+            sweeps += 1
+            assert state.agents.tobytes() == expected.tobytes()
+            assert np.array_equal(np.sort(state.agents, axis=0), np.sort(before, axis=0))
+        # two identical agents are their own children at every cut point
+        state = _ffo_state(evaluate, d, 2, 0, crossover_probability=1.0,
+                           mutation_probability=0.0, perturbation_threshold=10**6)
+        state.agents[1] = state.agents[0]
+        twin = state.agents[0].copy()
+        update_agents(state, evaluate)
+        assert np.array_equal(state.agents, [twin, twin])
+    assert cases == {(d, cut) for d in range(2, 7) for cut in range(1, d)}
+    _announce(6, "crossover structure", f"{len(cases)} (dimension, cut) cases exact "
+              f"over {sweeps} sweeps")
 
 
 def test_criterion_07_grid_rerun_is_byte_identical(tmp_path):

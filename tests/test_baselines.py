@@ -18,9 +18,10 @@ from ember.baselines import (
     run_optimizer,
 )
 from ember.errors import ConfigError
-from ember.ffo import one_point_crossover
 from ember.functions import DomainBox, domain_box, make_objective
 from ember.recording import Evaluator, RunOutcome
+
+from oracles import one_point_crossover
 
 BOX = DomainBox(-5.12, 5.12, 2)
 
@@ -277,7 +278,7 @@ def _reference_ga(spec, objective, domain):
         while len(next_population) < n:
             child1, child2 = select().copy(), select().copy()
             if d >= 2 and rng.random() < params["crossover_rate"]:
-                child1, child2 = one_point_crossover(child1, child2, rng=rng)
+                child1, child2 = one_point_crossover(child1, child2, int(rng.integers(1, d)))
             for child in (child1, child2):
                 if len(next_population) >= n:
                     break
@@ -323,7 +324,7 @@ def _per_pair_ga(spec, objective, domain):
         for p in range(pairs):
             children = [winner(contenders[2 * p]), winner(contenders[2 * p + 1])]
             if d >= 2 and crossed[p]:
-                children = one_point_crossover(*children, point=int(points[p]))
+                children = one_point_crossover(*children, int(points[p]))
             for k, child in zip((2 * p, 2 * p + 1), children):
                 if len(next_population) < n:
                     next_population.append(np.where(mask[k], child + steps[k], child))

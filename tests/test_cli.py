@@ -136,6 +136,18 @@ def test_run_evaluation_error_exits_three(capsys, monkeypatch):
     assert "evaluation" in err.lower()
 
 
+def test_run_into_a_closed_stdout_exits_one_without_an_error_line(capsys, monkeypatch):
+    # stdout's reader has gone, as in `ember run ... | head -1`: not a configuration error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=1) as closed:  # each line is written, and refused
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["run", "--fn", "sphere", "--algo", "sa", "--iters", "5", "--agents", "5"])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # grid
 

@@ -1,13 +1,12 @@
 """FFO optimizer tests: operators in isolation, then full-run behavior."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ember.baselines import OptimizerSpec, resolve_params, run_optimizer
-from ember.errors import ConfigError, EvaluationError, InputError
+from ember.errors import ConfigError, EvaluationError
 from ember.ffo import (
     acceptance_probability,
     apply_perturbation,
@@ -16,13 +15,14 @@ from ember.ffo import (
     evaluate_agents,
     initialize,
     local_search,
-    one_point_crossover,
     perturbation_intensity,
     should_terminate,
     update_agents,
 )
 from ember.functions import DomainBox
-from ember.recording import Evaluator, path_length
+from ember.recording import Evaluator
+
+from oracles import one_point_crossover, path_length
 
 BOUNDS = (-5.12, 5.12)
 
@@ -102,55 +102,6 @@ def test_config_validation_rejects(overrides):
     # OptimizerSpec, DomainBox, resolve_params or run_ffo
     with pytest.raises(ConfigError):
         ffo_run(**overrides)
-
-
-# ---------------------------------------------------------------------------
-# crossover
-
-
-def test_crossover_exhaustive_small_dimensions():
-    rng = np.random.default_rng(0)
-    for d in range(2, 7):
-        p1 = rng.uniform(-5, 5, d)
-        p2 = rng.uniform(-5, 5, d)
-        for point in range(1, d):
-            c1, c2 = one_point_crossover(p1, p2, point=point)
-            assert np.array_equal(c1, np.concatenate([p1[:point], p2[point:]]))
-            assert np.array_equal(c2, np.concatenate([p2[:point], p1[point:]]))
-            merged = np.sort(np.concatenate([c1, c2]))
-            original = np.sort(np.concatenate([p1, p2]))
-            assert np.array_equal(merged, original)
-
-
-def test_crossover_of_identical_parents_is_identity():
-    p = np.array([1.0, 2.0, 3.0])
-    for point in (1, 2):
-        c1, c2 = one_point_crossover(p, p, point=point)
-        assert np.array_equal(c1, p) and np.array_equal(c2, p)
-
-
-def test_crossover_draws_every_interior_point():
-    rng = np.random.default_rng(1)
-    d = 5
-    seen = set()
-    p1, p2 = np.zeros(d), np.ones(d)
-    for _ in range(300):
-        c1, _ = one_point_crossover(p1, p2, rng=rng)
-        seen.add(int(np.sum(c1 == 0.0)))
-    assert seen == {1, 2, 3, 4}
-
-
-def test_crossover_input_errors():
-    with pytest.raises(InputError):
-        one_point_crossover([1.0], [2.0], point=1)
-    with pytest.raises(InputError):
-        one_point_crossover([1.0, 2.0], [1.0, 2.0, 3.0], point=1)
-    with pytest.raises(InputError):
-        one_point_crossover([1.0, 2.0], [3.0, 4.0], point=0)
-    with pytest.raises(InputError):
-        one_point_crossover([1.0, 2.0], [3.0, 4.0], point=2)
-    with pytest.raises(InputError):
-        one_point_crossover([1.0, 2.0], [3.0, 4.0])  # neither rng nor point
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +242,8 @@ def test_update_agents_single_coordinate_skips_crossover():
 @pytest.mark.parametrize("num_agents", [1, 3, 9])
 def test_update_agents_crossover_replays_one_point_crossover(num_agents):
     # the sweep swaps tails in place; a shadow generator replaying the same
-    # draws through one_point_crossover must reach the same rows, also when
-    # the partner is the agent itself (always so with one agent)
+    # draws through the reference one_point_crossover must reach the same rows,
+    # also when the partner is the agent itself (always so with one agent)
     state = small_state(dimension=4, num_agents=num_agents, crossover_probability=0.7,
                         mutation_probability=0.0, perturbation_threshold=10**6, seed=13)
     shadow = np.random.default_rng(13)
@@ -305,8 +256,8 @@ def test_update_agents_crossover_replays_one_point_crossover(num_agents):
             if shadow.random() < 0.7:
                 partner = int(shadow.integers(num_agents))
                 self_partnered += partner == i
-                agents[i], agents[partner] = one_point_crossover(agents[i], agents[partner],
-                                                                 rng=shadow)
+                agents[i], agents[partner] = one_point_crossover(
+                    agents[i], agents[partner], int(shadow.integers(1, 4)))
             shadow.random()  # mutation gate
             expected[i] = agents[i]
         assert state.agents.tobytes() == agents.tobytes()

@@ -230,21 +230,40 @@ def test_history_files_written_for_ok_cells_only(tmp_path):
     assert len(sample) == 26  # 25 iterations for the baselines
 
 
+def _history_file(path):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "best_fitness"]
+    assert [int(i) for i, _ in rows[1:]] == list(range(1, len(rows)))
+    return [float(v) for _, v in rows[1:]]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_output_grid_keeps_each_history_in_its_file_only(tmp_path, jobs):
-    in_memory = run_grid(tiny_grid(jobs=jobs, save_histories=True))
-    on_disk = run_grid(tiny_grid(jobs=jobs, save_histories=True, output=str(tmp_path / "out")))
-    assert [r.cell_key for r in on_disk] == [r.cell_key for r in in_memory]
-    assert all(r.history is None for r in on_disk)
-    ok = [r for r in in_memory if r.status == "ok"]
-    assert ok and all(r.history for r in ok)
+    grid = tiny_grid(jobs=jobs, save_histories=True, output=str(tmp_path / "out"))
+    records = run_grid(grid)
+    assert not any(hasattr(r, "history") for r in records)
+    ok = [r for r in records if r.status == "ok"]
+    assert ok
+    assert sorted(p.name for p in (tmp_path / "out" / "histories").iterdir()) == sorted(
+        f"{r.cell_key}.csv" for r in ok)
     for record in ok:
+        # the history of the same run, through the one cell pipeline
+        seed = derive_cell_seed(grid.master_seed, record.cell_key)
+        _, outcome = harness.run_cell(record, {}, seed)
         path = tmp_path / "out" / "histories" / f"{record.cell_key}.csv"
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "best_fitness"]
-        assert [int(i) for i, _ in rows[1:]] == list(range(1, len(record.history) + 1))
-        assert [float(v) for _, v in rows[1:]] == record.history
+        assert _history_file(path) == outcome.fitness_history
+
+
+def test_save_histories_without_output_is_refused_before_any_cell(tmp_path, monkeypatch):
+    config = {"algorithms": ["sa"], "functions": ["sphere"], "agent_counts": [2],
+              "iteration_counts": [5], "save_histories": True}
+    grid = grid_from_mapping(config)  # the CLI applies --out after building the grid
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_execute_cell", lambda *args: pytest.fail("a cell ran"))
+    with pytest.raises(ConfigError, match="save_histories needs an output directory"):
+        run_grid(grid)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -276,15 +295,14 @@ def test_execute_cell_writes_its_history_and_returns_none(tmp_path):
     # the process that runs a cell writes its history, so none crosses to the parent
     grid = tiny_grid(save_histories=True, output=str(tmp_path))
     cell = enumerate_cells(grid)[0]
-    in_memory = harness._execute_cell(dataclasses.replace(grid, output=None), cell)
+    seed = derive_cell_seed(grid.master_seed, cell.cell_key)
+    reference, outcome = harness.run_cell(cell, {}, seed)
     record = harness._execute_cell(grid, cell)
-    assert record.status == "ok" and record.history is None
-    for name in ("best_fitness", "total_distance", "iterations_run"):
-        assert getattr(record, name) == getattr(in_memory, name)
-    with (tmp_path / "histories" / f"{cell.cell_key}.csv").open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "best_fitness"]
-    assert [float(v) for _, v in rows[1:]] == in_memory.history
+    assert record.status == "ok" and not hasattr(record, "history")
+    for name in ("best_fitness", "total_distance", "iterations_run", "evaluations"):
+        assert getattr(record, name) == getattr(reference, name)
+    path = tmp_path / "histories" / f"{cell.cell_key}.csv"
+    assert _history_file(path) == outcome.fitness_history
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -348,14 +366,14 @@ def test_rerun_reproduces_deterministic_columns(tmp_path):
     assert snapshot() == first
 
 
-def test_parallel_execution_matches_serial():
+def test_parallel_execution_matches_serial(tmp_path):
     # the tuned grid shows that parameters and the history flag reach the
     # workers from the grid
     tuned = {"params": {"pso": {"inertia": 0.3}}, "save_histories": True}
     runs = []
     for overrides in ({}, tuned):
-        serial = run_grid(tiny_grid(**overrides))
-        parallel = run_grid(tiny_grid(jobs=3, **overrides))
+        serial = run_grid(tiny_grid(output=str(tmp_path / "serial"), **overrides))
+        parallel = run_grid(tiny_grid(jobs=3, output=str(tmp_path / "parallel"), **overrides))
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.cell_key == b.cell_key and a.status == b.status
@@ -363,8 +381,13 @@ def test_parallel_execution_matches_serial():
                 assert a.best_fitness == b.best_fitness
                 assert a.total_distance == b.total_distance
                 assert a.iterations_run == b.iterations_run
-                assert a.history == b.history
-                assert (a.history is not None) == (overrides is tuned)
+        histories = [sorted((tmp_path / side / "histories").glob("*.csv"))
+                     for side in ("serial", "parallel")]
+        assert [p.name for p in histories[0]] == [p.name for p in histories[1]]
+        assert len(histories[0]) == (sum(r.status == "ok" for r in serial)
+                                     if overrides is tuned else 0)
+        for a, b in zip(*histories):
+            assert a.read_bytes() == b.read_bytes()
         runs.append(serial)
     pairs = [(a, b) for a, b in zip(*runs) if a.status == "ok"]
     assert pairs and all(
@@ -684,17 +707,10 @@ def test_ranking_report_as_dict_is_json_shaped():
 
 
 def test_export_history_round_trip(tmp_path):
-    record = _record("x", 1.0, 1.0, 1.0)
-    record.history = [3.0, 2.0, 2.0, 1.0]
-    path = export_history(record, tmp_path)
+    path = export_history([3.0, 2.0, 2.0, 1.0], tmp_path / "deep" / "x.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,best_fitness"
     assert lines[1] == "1,3.0"
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3", "4"]
     assert [float(l.split(",")[1]) for l in lines[1:]] == [3.0, 2.0, 2.0, 1.0]
-    assert path.name == record.cell_key + ".csv"
-
-
-def test_export_history_requires_a_history():
-    with pytest.raises(ConfigError):
-        export_history(_record("x", 1.0, 1.0, 1.0), "/tmp")
+    assert path == tmp_path / "deep" / "x.csv"

@@ -7,7 +7,9 @@ import pytest
 from ember import OptimizerSpec, domain_box, run_optimizer
 from ember.errors import EvaluationError
 from ember.functions import list_functions, make_objective
-from ember.recording import Evaluator, batch_capable, driven, path_length
+from ember.recording import Evaluator, batch_capable, driven
+
+from oracles import path_length
 
 
 def _rows(n=6, d=4, seed=0):
