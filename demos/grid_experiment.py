@@ -6,7 +6,8 @@ A grid crosses algorithms, functions, dimensions, population sizes,
 iteration budgets, and seeds. Every cell gets its own RNG seed derived from
 the grid's master seed and the cell's key, so any cell can be reproduced in
 isolation. Results stream to CSV; summaries and rankings are computed from
-the records afterwards.
+the records afterwards, as the rows of summary.csv and the object in
+rankings.json that `ember grid` writes.
 """
 
 import tempfile
@@ -44,16 +45,16 @@ print("per-algorithm summary over successful cells")
 print("-" * 72)
 print(f"{'algorithm':<10} {'best mean':>12} {'best std':>12} {'time mean':>12} "
       f"{'dist/sec':>12}")
-for row in summarize(records):
-    print(f"{row.algorithm:<10} {row.best_fitness.mean:>12.4e} "
-          f"{row.best_fitness.std:>12.4e} {row.execution_time.mean:>12.4e} "
-          f"{row.distance_per_unit_time:>12.4e}")
+for row in summarize(records):  # the rows of summary.csv
+    print(f"{row['algorithm']:<10} {row['best_fitness_mean']:>12.4e} "
+          f"{row['best_fitness_std']:>12.4e} {row['execution_time_mean']:>12.4e} "
+          f"{row['distance_per_unit_time']:>12.4e}")
 print()
 
-report = rank_top3(records)
+report = rank_top3(records)  # the object in rankings.json
 print("global top-3 appearance counts")
 print("-" * 72)
-for category, tally in report.global_counts.items():
+for category, tally in report["global_counts"].items():
     ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
     line = ", ".join(f"{name} x{count}" for name, count in ranked)
     print(f"{category:<16} {line}")

@@ -46,11 +46,8 @@ from .functions import (
 )
 from .harness import (
     ExperimentGrid,
-    MetricStats,
     PRESETS,
-    RankingReport,
     RunRecord,
-    SummaryRow,
     derive_cell_seed,
     distance_per_unit_time,
     export_history,
@@ -73,14 +70,11 @@ __all__ = [
     "ExperimentGrid",
     "InputError",
     "MetricError",
-    "MetricStats",
     "OptimizerSpec",
     "PARAM_DEFAULTS",
     "PRESETS",
-    "RankingReport",
     "RunOutcome",
     "RunRecord",
-    "SummaryRow",
     "UnknownFunctionError",
     "ValidationRow",
     "derive_cell_seed",

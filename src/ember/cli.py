@@ -139,11 +139,10 @@ def cmd_grid(args) -> int:
 
     records = run_grid(grid)
     out_dir = Path(grid.output)
-    rows = summarize(records)
-    write_summary_csv(rows, out_dir / "summary.csv")
+    write_summary_csv(summarize(records), out_dir / "summary.csv")
     report = rank_top3(records)
     with (out_dir / "rankings.json").open("w") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
 
     counts = {status: 0 for status in ("ok", "skipped", "error")}
@@ -153,7 +152,7 @@ def cmd_grid(args) -> int:
           f"{counts['skipped']} skipped, {counts['error']} error")
     print(f"output: {out_dir}")
     for category in CATEGORIES:
-        ranked = sorted(report.global_counts[category].items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(report["global_counts"][category].items(), key=lambda kv: (-kv[1], kv[0]))
         top = ", ".join(f"{name} ({count})" for name, count in ranked[:3]) or "none"
         print(f"top3 {category}: {top}")
     if counts["ok"] == 0:

@@ -45,18 +45,15 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
-from .errors import ConfigError, EmberError, MetricError
+from .errors import ConfigError, MetricError
 from .functions import domain_box, get_function, known_minimum, list_functions, make_objective
 from .recording import RunOutcome
 
 __all__ = [
     "CATEGORIES",
     "ExperimentGrid",
-    "MetricStats",
     "PRESETS",
-    "RankingReport",
     "RunRecord",
-    "SummaryRow",
     "RESULT_COLUMNS",
     "derive_cell_seed",
     "distance_per_unit_time",
@@ -195,8 +192,9 @@ class ExperimentGrid:
     every optimizer and every registry function. ``__post_init__`` converts
     each value to its field's type and checks it. Conversions are exact: an
     integer field takes no boolean and no number with a fraction, and
-    ``save_histories`` takes only a boolean. A value that cannot be converted
-    raises :class:`ConfigError` starting with the field name.
+    ``save_histories`` takes only a boolean. No axis may repeat a value, so
+    every cell key is unique. A value that is rejected raises
+    :class:`ConfigError` starting with the field name.
     """
 
     algorithms: tuple[str, ...] = field(default_factory=lambda: tuple(optimizer_names()))
@@ -237,6 +235,9 @@ class ExperimentGrid:
                 raise ConfigError(f"{name} must be non-empty")
             if floor is not None and min(items) < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
+            repeated = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeated:  # two cells under one key would share their row and history file
+                raise ConfigError(f"{name} must be distinct, got {repeated[0]!r} more than once")
         known = set(optimizer_names())
         for name in self.algorithms:
             if name not in known:
@@ -395,69 +396,6 @@ def export_history(history, path) -> Path:
 # aggregation
 
 
-@dataclass(frozen=True)
-class MetricStats:
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
-def _stats(values: list[float]) -> MetricStats:
-    n = len(values)
-    mean = sum(values) / n
-    if n > 1:
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-        std = math.sqrt(variance)
-    else:
-        std = 0.0
-    return MetricStats(mean=mean, std=std, min=min(values), max=max(values))
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-algorithm aggregate over successful records.
-
-    ``distance_per_unit_time`` is the quotient of the aggregates,
-    mean total distance over mean execution time, not the mean of
-    per-run quotients.
-    """
-
-    algorithm: str
-    best_fitness: MetricStats
-    execution_time: MetricStats
-    total_distance: MetricStats
-    distance_per_unit_time: float
-
-
-def summarize(records) -> list[SummaryRow]:
-    """Aggregate successful records per algorithm.
-
-    Rows are sorted by algorithm name; single-record groups report a std of zero.
-    """
-    groups: dict[str, list[RunRecord]] = {}
-    for record in records:
-        if record.status == "ok":
-            groups.setdefault(record.algorithm, []).append(record)
-    rows = []
-    for algorithm in sorted(groups):
-        bucket = groups[algorithm]
-        time_stats = _stats([r.execution_time for r in bucket])
-        distance_stats = _stats([r.total_distance for r in bucket])
-        rows.append(
-            SummaryRow(
-                algorithm=algorithm,
-                best_fitness=_stats([r.best_fitness for r in bucket]),
-                execution_time=time_stats,
-                total_distance=distance_stats,
-                distance_per_unit_time=distance_per_unit_time(
-                    distance_stats.mean, time_stats.mean
-                ),
-            )
-        )
-    return rows
-
-
 SUMMARY_COLUMNS = (
     "algorithm",
     "best_fitness_mean", "best_fitness_std", "best_fitness_min", "best_fitness_max",
@@ -467,18 +405,45 @@ SUMMARY_COLUMNS = (
 )
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> Path:
+def summarize(records) -> list[dict]:
+    """The ``summary.csv`` rows: one dict per algorithm, keyed by ``SUMMARY_COLUMNS``.
+
+    Only successful records count, and rows are sorted by algorithm name. Each
+    metric gets its mean, sample standard deviation (zero for a single record),
+    min and max. ``distance_per_unit_time`` is the quotient of the aggregates,
+    mean total distance over mean execution time, not the mean of per-run
+    quotients.
+    """
+    groups: dict[str, list[RunRecord]] = {}
+    for record in records:
+        if record.status == "ok":
+            groups.setdefault(record.algorithm, []).append(record)
+    rows = []
+    for algorithm in sorted(groups):
+        row = {"algorithm": algorithm}
+        for metric in ("best_fitness", "execution_time", "total_distance"):
+            values = [getattr(r, metric) for r in groups[algorithm]]
+            n = len(values)
+            mean = sum(values) / n
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
+            row.update({f"{metric}_mean": mean, f"{metric}_std": std,
+                        f"{metric}_min": min(values), f"{metric}_max": max(values)})
+        row["distance_per_unit_time"] = distance_per_unit_time(row["total_distance_mean"],
+                                                               row["execution_time_mean"])
+        rows.append(row)
+    return rows
+
+
+def write_summary_csv(rows: list[dict], path) -> Path:
+    """Write :func:`summarize`'s rows to ``path`` as CSV under a ``SUMMARY_COLUMNS`` header.
+
+    Floats are written by ``str``, so they read back exactly.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.algorithm]
-                + [str(v) for stats in (row.best_fitness, row.execution_time, row.total_distance)
-                   for v in (stats.mean, stats.std, stats.min, stats.max)]
-                + [str(row.distance_per_unit_time)]
-            )
+        writer = csv.DictWriter(fh, SUMMARY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
     return path
 
 
@@ -486,42 +451,21 @@ def write_summary_csv(rows: list[SummaryRow], path) -> Path:
 # rankings
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    """Top-3 appearances per setting and their global frequencies.
+def rank_top3(records) -> dict:
+    """The ``rankings.json`` object: the top 3 algorithms of every setting, counted.
 
     A setting is a (function, dimension, agents, max_iter) tuple; within one,
-    records are averaged over seeds per algorithm before ranking. Ties break
-    by algorithm name.
-    """
-
-    per_setting: dict
-    global_counts: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "global_counts": {c: dict(sorted(v.items())) for c, v in self.global_counts.items()},
-            "per_setting": [
-                {
-                    "function": key[0],
-                    "dimension": key[1],
-                    "agents": key[2],
-                    "max_iter": key[3],
-                    **{category: list(tops[category]) for category in CATEGORIES},
-                }
-                for key, tops in sorted(self.per_setting.items())
-            ],
-        }
-
-
-def rank_top3(records) -> RankingReport:
-    """Rank algorithms within every setting and count top-3 appearances.
-
+    successful records are averaged over seeds per algorithm before ranking.
     Categories: longest/shortest mean execution time, and most/least accurate
     by mean |best_fitness - known minimum|. Where no minimum is published the
     accuracy metric falls back to the raw best fitness (ascending = more
-    accurate). Global counts sum per-setting appearances, so an algorithm's
-    count is bounded by the number of settings.
+    accurate). Ties break by algorithm name.
+
+    Returns ``{"global_counts": {category: {algorithm: count}}, "per_setting":
+    [{"function", "dimension", "agents", "max_iter", category: [algorithm, ...]}]}``
+    with settings in sorted order and each category's counts keyed in name
+    order. A global count sums per-setting appearances, so it is bounded by
+    the number of settings.
     """
     buckets: dict[tuple, dict[str, list[RunRecord]]] = {}
     for record in records:
@@ -530,34 +474,31 @@ def rank_top3(records) -> RankingReport:
         key = (record.function, record.dimension, record.agents, record.max_iter)
         buckets.setdefault(key, {}).setdefault(record.algorithm, []).append(record)
 
-    per_setting: dict[tuple, dict[str, list[str]]] = {}
-    global_counts: dict[str, dict[str, int]] = {c: {} for c in CATEGORIES}
+    per_setting = []
+    counts: dict[str, dict[str, int]] = {c: {} for c in CATEGORIES}
     for key in sorted(buckets):
-        by_algo = buckets[key]
-        try:
-            known, _ = known_minimum(key[0], key[1])
-        except EmberError:  # no published minimum
-            known = None
+        known, _ = known_minimum(key[0], key[1])
         times = {}
         errors = {}
-        for algorithm, bucket in by_algo.items():
+        for algorithm, bucket in buckets[key].items():
             times[algorithm] = sum(r.execution_time for r in bucket) / len(bucket)
             if known is None:
                 errors[algorithm] = sum(r.best_fitness for r in bucket) / len(bucket)
             else:
                 errors[algorithm] = sum(abs(r.best_fitness - known) for r in bucket) / len(bucket)
         tops = {
-            "longest_time": [a for a in sorted(times, key=lambda a: (-times[a], a))[:3]],
-            "shortest_time": [a for a in sorted(times, key=lambda a: (times[a], a))[:3]],
-            "most_accurate": [a for a in sorted(errors, key=lambda a: (errors[a], a))[:3]],
-            "least_accurate": [a for a in sorted(errors, key=lambda a: (-errors[a], a))[:3]],
+            "longest_time": sorted(times, key=lambda a: (-times[a], a))[:3],
+            "shortest_time": sorted(times, key=lambda a: (times[a], a))[:3],
+            "most_accurate": sorted(errors, key=lambda a: (errors[a], a))[:3],
+            "least_accurate": sorted(errors, key=lambda a: (-errors[a], a))[:3],
         }
-        per_setting[key] = tops
-        for category in CATEGORIES:
-            for algorithm in tops[category]:
-                counts = global_counts[category]
-                counts[algorithm] = counts.get(algorithm, 0) + 1
-    return RankingReport(per_setting=per_setting, global_counts=global_counts)
+        per_setting.append({"function": key[0], "dimension": key[1], "agents": key[2],
+                            "max_iter": key[3], **tops})
+        for category, names in tops.items():
+            for algorithm in names:
+                counts[category][algorithm] = counts[category].get(algorithm, 0) + 1
+    return {"global_counts": {c: dict(sorted(v.items())) for c, v in counts.items()},
+            "per_setting": per_setting}
 
 
 # ---------------------------------------------------------------------------

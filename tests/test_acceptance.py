@@ -318,11 +318,10 @@ def test_criterion_08_dominant_algorithm_sweeps_the_ranking():
                             iterations_run=iters, status="ok",
                         ))
     report = rank_top3(records)
-    assert len(report.per_setting) == 27
-    count = report.global_counts["most_accurate"]["front"]
+    assert len(report["per_setting"]) == 27
+    count = report["global_counts"]["most_accurate"]["front"]
     assert count == 27
-    assert all(tops["most_accurate"][0] == "front"
-               for tops in report.per_setting.values())
+    assert all(tops["most_accurate"][0] == "front" for tops in report["per_setting"])
     _announce(8, "ranking aggregation", "dominant algorithm counted 27/27")
 
 
@@ -357,17 +356,17 @@ def test_criterion_09_summary_statistics_match_hand_oracle():
         "dist_mean": 30.0, "dist_std": 15.811388300841898,
         "rate": 30.0,
     }
-    assert abs(x.best_fitness.mean - oracle["best_mean"]) <= 1e-12
-    assert abs(x.best_fitness.std - oracle["best_std"]) <= 1e-12
-    assert abs(x.best_fitness.min - oracle["best_min"]) <= 1e-12
-    assert abs(x.best_fitness.max - oracle["best_max"]) <= 1e-12
-    assert abs(x.execution_time.mean - oracle["time_mean"]) <= 1e-12
-    assert abs(x.execution_time.std - oracle["time_std"]) <= 1e-12
-    assert abs(x.total_distance.mean - oracle["dist_mean"]) <= 1e-12
-    assert abs(x.total_distance.std - oracle["dist_std"]) <= 1e-12
-    assert abs(x.distance_per_unit_time - oracle["rate"]) <= 1e-12
-    assert y.best_fitness.std == 0.0 and y.execution_time.std == 0.0
-    assert abs(y.distance_per_unit_time - 5.0) <= 1e-12
+    assert abs(x["best_fitness_mean"] - oracle["best_mean"]) <= 1e-12
+    assert abs(x["best_fitness_std"] - oracle["best_std"]) <= 1e-12
+    assert abs(x["best_fitness_min"] - oracle["best_min"]) <= 1e-12
+    assert abs(x["best_fitness_max"] - oracle["best_max"]) <= 1e-12
+    assert abs(x["execution_time_mean"] - oracle["time_mean"]) <= 1e-12
+    assert abs(x["execution_time_std"] - oracle["time_std"]) <= 1e-12
+    assert abs(x["total_distance_mean"] - oracle["dist_mean"]) <= 1e-12
+    assert abs(x["total_distance_std"] - oracle["dist_std"]) <= 1e-12
+    assert abs(x["distance_per_unit_time"] - oracle["rate"]) <= 1e-12
+    assert y["best_fitness_std"] == 0.0 and y["execution_time_std"] == 0.0
+    assert abs(y["distance_per_unit_time"] - 5.0) <= 1e-12
     _announce(9, "summary oracle", "10-record fixture matches to 1e-12")
 
 

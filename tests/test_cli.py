@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ember.cli as cli
 import ember.functions as functions
 import ember.harness as harness
 from ember.cli import main
@@ -181,6 +182,138 @@ def test_grid_writes_all_artifacts(capsys, tmp_path):
     assert "global_counts" in rankings and "per_setting" in rankings
 
 
+def _pinned_record(algorithm, function, seed, best, seconds, dist):
+    return harness.RunRecord(algorithm, function, 2, 5, 5, seed, best_fitness=best,
+                             execution_time=seconds, total_distance=dist,
+                             distance_per_unit_time=dist / seconds, iterations_run=5,
+                             evaluations=30)
+
+
+PINNED_RECORDS = [
+    _pinned_record("pso", "sphere", 0, 0.30000000000000004, 0.012345678901234568,
+                   1.2345678901234567),
+    _pinned_record("pso", "sphere", 1, 7.000000000000001e-05, 0.023456789012345677,
+                   2.3456789012345679),
+    _pinned_record("sa", "sphere", 0, 0.6000000000000001, 0.0011111111111111111, 0.1),
+    harness.RunRecord("sa", "sphere", 2, 5, 5, 1, status="error", message="EvaluationError: nan"),
+    _pinned_record("pso", "michalewicz", 0, -1.8013034100985537, 0.05, 3.0000000000000004),
+    _pinned_record("pso", "michalewicz", 1, -1.0000000000000002, 0.07, 2.9),
+    _pinned_record("sa", "michalewicz", 0, -1.5, 0.033333333333333333, 0.7),
+    _pinned_record("sa", "michalewicz", 1, -1.7000000000000002, 0.016666666666666666,
+                   0.9000000000000001),
+    harness.RunRecord("sa", "michalewicz", 20, 5, 5, 0, status="skipped", message="not scalable"),
+]
+
+PINNED_SUMMARY = "\r\n".join([
+    "algorithm,best_fitness_mean,best_fitness_std,best_fitness_min,best_fitness_max,"
+    "execution_time_mean,execution_time_std,execution_time_min,execution_time_max,"
+    "total_distance_mean,total_distance_std,total_distance_min,total_distance_max,"
+    "distance_per_unit_time",
+    "pso,-0.6253083525246385,0.961015406949748,-1.8013034100985537,0.30000000000000004,"
+    "0.03895061697839507,0.026038653871450032,0.012345678901234568,0.07,"
+    "2.3700616978395064,0.8098554555716231,1.2345678901234567,3.0000000000000004,"
+    "60.84786023169082",
+    "sa,-0.8666666666666667,1.274100990241093,-1.7000000000000002,0.6000000000000001,"
+    "0.017037037037037035,0.016114303642820068,0.0011111111111111111,0.03333333333333333,"
+    "0.5666666666666668,0.41633319989322665,0.1,0.9000000000000001,"
+    "33.260869565217405",
+    "",
+])
+
+
+PINNED_RANKINGS = """\
+{
+  "global_counts": {
+    "longest_time": {
+      "pso": 2,
+      "sa": 2
+    },
+    "shortest_time": {
+      "pso": 2,
+      "sa": 2
+    },
+    "most_accurate": {
+      "pso": 2,
+      "sa": 2
+    },
+    "least_accurate": {
+      "pso": 2,
+      "sa": 2
+    }
+  },
+  "per_setting": [
+    {
+      "function": "michalewicz",
+      "dimension": 2,
+      "agents": 5,
+      "max_iter": 5,
+      "longest_time": [
+        "pso",
+        "sa"
+      ],
+      "shortest_time": [
+        "sa",
+        "pso"
+      ],
+      "most_accurate": [
+        "sa",
+        "pso"
+      ],
+      "least_accurate": [
+        "pso",
+        "sa"
+      ]
+    },
+    {
+      "function": "sphere",
+      "dimension": 2,
+      "agents": 5,
+      "max_iter": 5,
+      "longest_time": [
+        "pso",
+        "sa"
+      ],
+      "shortest_time": [
+        "sa",
+        "pso"
+      ],
+      "most_accurate": [
+        "pso",
+        "sa"
+      ],
+      "least_accurate": [
+        "sa",
+        "pso"
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_grid_outputs_are_pinned_byte_for_byte(capsys, tmp_path, monkeypatch):
+    # hand-built records with an error, a skip, a setting without a published
+    # minimum (michalewicz) and floats that need 17 significant digits
+    def fake_run_grid(grid):
+        Path(grid.output).mkdir()
+        return PINNED_RECORDS
+
+    monkeypatch.setattr(cli, "run_grid", fake_run_grid)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, ["grid", str(write_config(tmp_path)), "--out", str(out_dir)])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "cells: 9 total, 7 ok, 1 skipped, 1 error",
+        f"output: {out_dir}",
+        "top3 longest_time: pso (2), sa (2)",
+        "top3 shortest_time: pso (2), sa (2)",
+        "top3 most_accurate: pso (2), sa (2)",
+        "top3 least_accurate: pso (2), sa (2)",
+    ]
+    assert (out_dir / "summary.csv").read_bytes() == PINNED_SUMMARY.encode()
+    assert (out_dir / "rankings.json").read_bytes() == PINNED_RANKINGS.encode()
+
+
 def test_grid_rerun_keeps_best_fitness_column(capsys, tmp_path):
     config = write_config(tmp_path)
 
@@ -245,7 +378,9 @@ def test_grid_config_errors_exit_two(capsys, tmp_path):
                        ("master_seed", "x"), ("dimensions", [None]), ("output", 5),
                        # lossy values: each would run a different grid than it names
                        ("save_histories", "no"), ("dimensions", [2.7]), ("jobs", 1.9),
-                       ("seeds", [True])]:
+                       ("seeds", [True]),
+                       # a repeated value would run two cells under one key
+                       ("seeds", [0, 0]), ("algorithms", ["pso", "pso"])]:
         code, _, err = run_cli(capsys, ["grid", str(write_config(tmp_path, **{key: value}))])
         assert code == 2 and err.startswith(f"error: {key} must be"), (key, value, err)
         assert not (tmp_path / "out").exists()

@@ -134,6 +134,15 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(algorithms="pso")
     with pytest.raises(ConfigError, match="^params must map"):
         tiny_grid(params={"pso": 1})
+    # a repeated value would run two cells under one key
+    for name, value in [("algorithms", ("pso", "pso")), ("functions", ("sphere", "sphere")),
+                        ("dimensions", (2, 2.0)), ("agent_counts", (4, 4)),
+                        ("iteration_counts", (3, 5, 3)), ("seeds", (0, 0))]:
+        with pytest.raises(ConfigError, match=f"^{name} must be distinct"):
+            tiny_grid(**{name: value})
+    with pytest.raises(ConfigError, match="^algorithms must be distinct"):
+        grid_from_mapping({"algorithms": ["pso", "pso"], "functions": ["sphere"],
+                           "agent_counts": [5], "iteration_counts": [5], "seeds": [0, 0]})
 
 
 def test_grid_rejects_numpy_booleans_as_integers():
@@ -580,18 +589,18 @@ def test_summarize_against_hand_computed_statistics():
         _record("y", 10.0, 1.0, 5.0, seed=4),
     ]
     rows = summarize(records)
-    assert [r.algorithm for r in rows] == ["x", "y"]
+    assert [r["algorithm"] for r in rows] == ["x", "y"]
     x, y = rows
-    assert abs(x.best_fitness.mean - 3.0) < 1e-12
-    assert abs(x.best_fitness.std - 1.5811388300841898) < 1e-12  # sqrt(2.5)
-    assert (x.best_fitness.min, x.best_fitness.max) == (1.0, 5.0)
-    assert abs(x.execution_time.mean - 1.0) < 1e-12
-    assert abs(x.execution_time.std - 0.6123724356957945) < 1e-12  # sqrt(0.375)
-    assert abs(x.total_distance.mean - 30.0) < 1e-12
-    assert abs(x.total_distance.std - 15.811388300841896) < 1e-12  # sqrt(250)
-    assert abs(x.distance_per_unit_time - 30.0) < 1e-12  # mean dist / mean time
-    assert y.best_fitness.std == 0.0
-    assert y.distance_per_unit_time == pytest.approx(5.0)
+    assert abs(x["best_fitness_mean"] - 3.0) < 1e-12
+    assert abs(x["best_fitness_std"] - 1.5811388300841898) < 1e-12  # sqrt(2.5)
+    assert (x["best_fitness_min"], x["best_fitness_max"]) == (1.0, 5.0)
+    assert abs(x["execution_time_mean"] - 1.0) < 1e-12
+    assert abs(x["execution_time_std"] - 0.6123724356957945) < 1e-12  # sqrt(0.375)
+    assert abs(x["total_distance_mean"] - 30.0) < 1e-12
+    assert abs(x["total_distance_std"] - 15.811388300841896) < 1e-12  # sqrt(250)
+    assert abs(x["distance_per_unit_time"] - 30.0) < 1e-12  # mean dist / mean time
+    assert y["best_fitness_std"] == 0.0
+    assert y["distance_per_unit_time"] == pytest.approx(5.0)
 
 
 def test_summarize_skips_failed_and_filtered_records():
@@ -603,14 +612,14 @@ def test_summarize_skips_failed_and_filtered_records():
     ]
     rows = summarize([r for r in records if r.dimension == 2])
     assert len(rows) == 1
-    assert rows[0].best_fitness.mean == 1.0
+    assert rows[0]["best_fitness_mean"] == 1.0
     assert summarize([r for r in records if r.status != "ok"]) == []
 
 
 def test_single_record_group_has_zero_std():
     rows = summarize([_record("solo", 4.0, 2.0, 8.0)])
-    assert rows[0].best_fitness.std == 0.0
-    assert rows[0].distance_per_unit_time == pytest.approx(4.0)
+    assert rows[0]["best_fitness_std"] == 0.0
+    assert rows[0]["distance_per_unit_time"] == pytest.approx(4.0)
 
 
 def test_summary_csv_columns(tmp_path):
@@ -622,6 +631,14 @@ def test_summary_csv_columns(tmp_path):
 
 # ---------------------------------------------------------------------------
 # rankings
+
+
+def _setting(report, function, dimension=2, agents=10, max_iter=100):
+    """The ``per_setting`` entry of one setting in a :func:`rank_top3` report."""
+    [entry] = [e for e in report["per_setting"]
+               if (e["function"], e["dimension"], e["agents"], e["max_iter"])
+               == (function, dimension, agents, max_iter)]
+    return entry
 
 
 def test_rank_top3_counts_a_dominant_algorithm_everywhere():
@@ -638,12 +655,12 @@ def test_rank_top3_counts_a_dominant_algorithm_everywhere():
                             seed=seed,
                         ))
     report = rank_top3(records)
-    assert len(report.per_setting) == 27
-    assert report.global_counts["most_accurate"]["aaa"] == 27
-    assert report.global_counts["least_accurate"]["ccc"] == 27
-    assert report.global_counts["longest_time"]["ccc"] == 27
-    assert report.global_counts["shortest_time"]["aaa"] == 27
-    one_setting = report.per_setting[("sphere", 2, 10, 100)]
+    assert len(report["per_setting"]) == 27
+    assert report["global_counts"]["most_accurate"]["aaa"] == 27
+    assert report["global_counts"]["least_accurate"]["ccc"] == 27
+    assert report["global_counts"]["longest_time"]["ccc"] == 27
+    assert report["global_counts"]["shortest_time"]["aaa"] == 27
+    one_setting = _setting(report, "sphere")
     assert one_setting["most_accurate"] == ["aaa", "bbb", "ccc"]
     assert one_setting["longest_time"] == ["ccc", "bbb", "aaa"]
 
@@ -654,8 +671,7 @@ def test_rank_top3_breaks_ties_by_name():
         _record("alpha", 1.0, 1.0, 1.0),
         _record("mid", 1.0, 1.0, 1.0),
     ]
-    report = rank_top3(records)
-    tops = report.per_setting[("sphere", 2, 10, 100)]
+    tops = _setting(rank_top3(records), "sphere")
     assert tops["most_accurate"] == ["alpha", "mid", "zeta"]
     assert tops["longest_time"] == ["alpha", "mid", "zeta"]
 
@@ -665,17 +681,15 @@ def test_rank_top3_falls_back_to_raw_fitness_without_known_minimum():
         _record("close_to_zero", 0.01, 1.0, 1.0, function="michalewicz"),
         _record("deep_negative", -1.8, 2.0, 1.0, function="michalewicz"),
     ]
-    report = rank_top3(records)
-    tops = report.per_setting[("michalewicz", 2, 10, 100)]
+    tops = _setting(rank_top3(records), "michalewicz")
     # no published minimum: lower raw fitness counts as more accurate
     assert tops["most_accurate"][0] == "deep_negative"
 
     # sphere publishes a minimum of zero, so |0.01| beats |-1.8|
-    report_known = rank_top3([
+    tops_known = _setting(rank_top3([
         _record("close_to_zero", 0.01, 1.0, 1.0),
         _record("deep_negative", -1.8, 2.0, 1.0),
-    ])
-    tops_known = report_known.per_setting[("sphere", 2, 10, 100)]
+    ]), "sphere")
     assert tops_known["most_accurate"][0] == "close_to_zero"
 
 
@@ -686,16 +700,13 @@ def test_rank_top3_averages_over_seeds():
         _record("spiky", 0.0, 1.0, 1.0, seed=0),
         _record("spiky", 3.0, 1.0, 1.0, seed=1),
     ]
-    report = rank_top3(records)
-    tops = report.per_setting[("sphere", 2, 10, 100)]
+    tops = _setting(rank_top3(records), "sphere")
     assert tops["most_accurate"] == ["steady", "spiky"]  # 1.0 beats 1.5
 
 
-def test_ranking_report_as_dict_is_json_shaped():
-    import json
-
+def test_rank_top3_is_json_shaped():
     records = [_record("x", 1.0, 1.0, 1.0), _record("y", 2.0, 2.0, 2.0)]
-    payload = rank_top3(records).as_dict()
+    payload = rank_top3(records)
     text = json.dumps(payload)
     decoded = json.loads(text)
     assert set(decoded["global_counts"]) == set(CATEGORIES)
