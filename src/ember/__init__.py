@@ -11,16 +11,14 @@ Three layers:
   summaries and rankings (:func:`run_grid`, :func:`summarize`,
   :func:`rank_top3`).
 
-Everything is deterministic given a seed; see the module docstrings for the
-exact draw-order contracts.
+Everything is deterministic given a seed; the docstrings of the runners in
+:mod:`ember.baselines` state the exact draw-order contracts.
 """
 
-from . import ffo
 from .baselines import (
     PARAM_DEFAULTS,
     OptimizerSpec,
     optimizer_names,
-    register_optimizer,
     run_optimizer,
 )
 from .errors import (
@@ -82,7 +80,6 @@ __all__ = [
     "domain_box",
     "evaluate",
     "export_history",
-    "ffo",
     "get_function",
     "grid_from_mapping",
     "known_minimum",
@@ -90,7 +87,6 @@ __all__ = [
     "make_objective",
     "optimizer_names",
     "rank_top3",
-    "register_optimizer",
     "run_grid",
     "run_optimizer",
     "summarize",

@@ -11,7 +11,9 @@ optimizer:
   an :class:`~ember.recording.Evaluator` for its objective, times it, keeps
   its history and path length, and returns a :class:`~ember.recording.RunOutcome`.
 
-:func:`resolve_params` checks parameter values for the runners and the grid.
+:func:`resolve_params` checks parameter values for the runners and the grid,
+and :func:`acceptance_probability` is the annealing rule of SA and of FFO's
+local search. FFO's and GA's docstrings state the order of their draws.
 
 Parameter defaults follow the usual literature settings; anything not pinned
 by convention (proposal widths, mutation scale) is expressed as a fraction of
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ffo
 from .errors import ConfigError
 from .functions import DomainBox
 from .recording import RunOutcome, driven, initial_population
@@ -34,8 +35,8 @@ from .recording import RunOutcome, driven, initial_population
 __all__ = [
     "OptimizerSpec",
     "PARAM_DEFAULTS",
+    "acceptance_probability",
     "optimizer_names",
-    "register_optimizer",
     "resolve_params",
     "run_ffo",
     "run_ga",
@@ -161,27 +162,128 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     return params
 
 
+def acceptance_probability(delta_energy: float, temperature: float) -> float:
+    """Annealing acceptance probability exp(-delta/T) for a fitness increase.
+
+    Non-positive deltas are certain acceptances. Computed so that extreme
+    ratios underflow cleanly to 0 instead of raising.
+    """
+    if delta_energy <= 0.0:
+        return 1.0
+    if temperature <= 0.0:
+        return 0.0
+    ratio = -delta_energy / temperature
+    if ratio < -745.0:  # exp() underflows to subnormal zero around here
+        return 0.0
+    return math.exp(ratio)
+
+
 @driven
 def run_ffo(spec, evaluate, domain):
-    """FFO's run loop over the operators of :mod:`ember.ffo`.
+    """FFO: evolutionary recombination hybridized with an annealing local search.
 
-    Each pass evaluates the population, sweeps it (:func:`~ember.ffo.update_agents`)
-    and cools the local-search step, until :func:`~ember.ffo.should_terminate`.
-    The iteration counter is 1-based and the loop stops when it reaches the
-    budget, so a budget of K yields K-1 completed update passes and K-1 history
-    entries; ``RunOutcome.iterations_run`` reports the counter's final value.
+    Each pass first values the whole population. A strictly better population
+    minimum (the first index wins ties) replaces the global best and resets the
+    stagnation counter; otherwise the counter grows by one, once per pass
+    whatever the population size, and ties never count as improvement. The
+    pass then sweeps the agents in index order:
+
+    * crossover (only when d >= 2): the agent picks a partner uniform on
+      {0, ..., N-1}, possibly itself, and a cut point uniform on {1, ..., d-1},
+      and the two swap their coordinates from the cut point on, in place;
+    * local search: 10 + 5*(counter // 100) Gaussian candidate moves of scale
+      step_size * 0.1 from the incumbent, valued where they land, unclipped.
+      A strictly better candidate is always taken, a worse one with the
+      annealing probability at temperature initial_temp * cooling_rate**k on
+      pass k;
+    * once the counter exceeds perturbation_threshold, a pull toward the global
+      best with Gaussian coordinate gains of scale 0.1 + 0.02*(counter - threshold).
+
+    An agent that local search or the pull moved is clipped to the domain.
+    Row i of the pass's moved rows is agent i as it left its own update (a later
+    crossover may still overwrite it as a partner). After the sweep the step
+    size cools by 0.99, or by 0.98 while the counter exceeds the threshold.
+
+    Randomness comes from one generator seeded by the spec, drawn in a fixed
+    order so identical configurations replay identically: population init (N*d
+    uniforms); then per pass, per agent: crossover gate, partner index, cut
+    point, mutation gate, then per local-search candidate d normals plus one
+    uniform only when the candidate did not improve, then d normals for the
+    pull when it is active.
+
+    The pass counter is 1-based and the loop stops when it reaches the budget,
+    so a budget of K yields K-1 passes and K-1 history entries;
+    ``RunOutcome.iterations_run`` reports the counter's final value. With
+    ``use_additional_conditions`` the loop also stops once the counter exceeds
+    no_improve_limit or the best value falls below target_fitness.
     """
     params = resolve_params("ffo", spec.params, spec.num_agents)
     if spec.max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {spec.max_iter}")
-    state = ffo.initialize(params, domain, spec.num_agents, spec.seed, evaluate)
-    yield None, state.best_global_agent, state.best_global_fitness
-    while not ffo.should_terminate(state, spec.max_iter):
-        moved = ffo.update_agents(state, evaluate)
-        ffo.cooling_schedule(state)
-        yield moved, state.best_global_agent, state.best_global_fitness
-        state.iteration += 1
-    return state.iteration
+    crossover_probability = params["crossover_probability"]
+    mutation_probability = params["mutation_probability"]
+    threshold = params["perturbation_threshold"]
+    conditions = params["use_additional_conditions"]
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.num_agents, domain.dimension
+    agents, _, best_agent, best_fitness = initial_population(
+        rng, domain.lower, domain.upper, (n, d), evaluate
+    )
+    step_size = params["step_size"]
+    counter = 0
+    iteration = 1
+    yield None, best_agent, best_fitness
+    while iteration < spec.max_iter and not (conditions and (
+        counter > params["no_improve_limit"] or best_fitness < params["target_fitness"]
+    )):
+        fitness = evaluate.rows(agents)
+        best = int(fitness.argmin())
+        if fitness[best] < best_fitness:
+            best_fitness = float(fitness[best])
+            best_agent = agents[best].copy()
+            counter = 0
+        else:
+            counter += 1
+        stagnant = counter > threshold
+        intensity = 0.1 + 0.02 * (counter - threshold)
+        temperature = params["initial_temp"] * params["cooling_rate"] ** iteration
+        scale = step_size * 0.1
+        candidates = 10 + 5 * (counter // 100)
+        moved = np.empty_like(agents)
+        for i in range(n):
+            row = agents[i]
+            if d >= 2 and rng.random() < crossover_probability:
+                partner = int(rng.integers(n))
+                point = int(rng.integers(1, d))
+                tail = row[point:].copy()
+                row[point:] = agents[partner, point:]
+                agents[partner, point:] = tail
+            # Only local search and the pull can leave the box: every other
+            # coordinate is an initial uniform in [lower, upper) or was clipped
+            # when its agent was updated, and crossover only exchanges them.
+            displaced = False
+            if rng.random() < mutation_probability:
+                incumbent, incumbent_fitness = row, evaluate(row)
+                for _ in range(candidates):
+                    candidate = incumbent + rng.normal(0.0, scale, size=d)
+                    candidate_fitness = evaluate(candidate)
+                    if candidate_fitness < incumbent_fitness or rng.random() < (
+                        acceptance_probability(candidate_fitness - incumbent_fitness, temperature)
+                    ):
+                        incumbent, incumbent_fitness = candidate, candidate_fitness
+                row[:] = incumbent
+                displaced = True
+            if stagnant:
+                row += rng.normal(0.0, intensity, size=d) * (best_agent - row)
+                displaced = True
+            if displaced:
+                np.maximum(row, domain.lower, out=row)
+                np.minimum(row, domain.upper, out=row)
+            moved[i] = row
+        step_size *= 0.98 if stagnant else 0.99
+        yield moved, best_agent, best_fitness
+        iteration += 1
+    return iteration
 
 
 @driven
@@ -246,7 +348,7 @@ def run_sa(spec, evaluate, domain):
         candidate = (current + rng.normal(0.0, sigma, size=d)).clip(domain.lower, domain.upper)
         candidate_fitness = evaluate(candidate)
         delta = candidate_fitness - current_fitness
-        if delta <= 0 or rng.random() < ffo.acceptance_probability(delta, temperature):
+        if delta <= 0 or rng.random() < acceptance_probability(delta, temperature):
             current = candidate
             current_fitness = candidate_fitness
         if current_fitness < best_fitness:
@@ -368,16 +470,6 @@ _OPTIMIZERS: dict[str, object] = {
 
 def optimizer_names() -> list[str]:
     return sorted(_OPTIMIZERS)
-
-
-def register_optimizer(name: str, runner, defaults: dict | None = None) -> None:
-    """Add an optimizer to the dispatch table.
-
-    ``runner`` must accept (spec, objective, domain) and return a RunOutcome.
-    ``defaults`` declares its valid parameters.
-    """
-    _OPTIMIZERS[name] = runner
-    PARAM_DEFAULTS.setdefault(name, dict(defaults or {}))
 
 
 def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox) -> RunOutcome:

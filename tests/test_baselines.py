@@ -14,7 +14,6 @@ from ember.baselines import (
     PARAM_DEFAULTS,
     OptimizerSpec,
     optimizer_names,
-    register_optimizer,
     run_optimizer,
 )
 from ember.errors import ConfigError
@@ -193,27 +192,6 @@ def test_ffo_adapter_forwards_termination_conditions():
     assert outcome.iterations_run < 5000
     plain = run_named("ffo", max_iter=40, num_agents=20)
     assert plain.iterations_run == 40
-
-
-def test_register_optimizer_round_trip():
-    def fixed_point(spec, objective, domain):
-        agent = np.zeros(domain.dimension)
-        value = float(objective(agent))
-        return RunOutcome(best_agent=agent, best_fitness=value,
-                          fitness_history=[value] * spec.max_iter,
-                          execution_time=1e-9, total_distance=0.0,
-                          iterations_run=spec.max_iter)
-
-    register_optimizer("fixed_point", fixed_point, {"gain": 1.0})
-    try:
-        assert "fixed_point" in optimizer_names()
-        outcome = run_named("fixed_point", max_iter=3)
-        assert outcome.best_fitness == 0.0
-        # the declared defaults make the optimizer grid-configurable
-        assert PARAM_DEFAULTS["fixed_point"] == {"gain": 1.0}
-    finally:
-        del baselines._OPTIMIZERS["fixed_point"]
-        del PARAM_DEFAULTS["fixed_point"]
 
 
 def test_param_defaults_are_not_mutated_by_overrides():

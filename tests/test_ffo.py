@@ -1,28 +1,23 @@
-"""FFO optimizer tests: operators in isolation, then full-run behavior."""
+"""FFO optimizer tests: the sweep's branches through the step generator, then
+full-run behavior."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ember.baselines import OptimizerSpec, resolve_params, run_optimizer
-from ember.errors import ConfigError, EvaluationError
-from ember.ffo import (
+from ember.baselines import (
+    OptimizerSpec,
     acceptance_probability,
-    apply_perturbation,
-    cooling_schedule,
-    current_temperature,
-    evaluate_agents,
-    initialize,
-    local_search,
-    perturbation_intensity,
-    should_terminate,
-    update_agents,
+    resolve_params,
+    run_ffo,
+    run_optimizer,
 )
+from ember.errors import ConfigError, EvaluationError
 from ember.functions import DomainBox
 from ember.recording import Evaluator
 
-from oracles import one_point_crossover, path_length
+from oracles import ffo_passes, path_length
 
 BOUNDS = (-5.12, 5.12)
 
@@ -31,11 +26,15 @@ def sphere(x):
     return float(np.sum(x * x))
 
 
-def small_state(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, seed=3,
-                **overrides):
-    params = resolve_params("ffo", overrides, num_agents)
-    return initialize(params, DomainBox(*bounds, dimension), num_agents, seed,
-                      Evaluator(objective))
+def constant(x):
+    return 1e-3
+
+
+def ffo_steps(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20,
+              seed=3, **overrides):
+    """``run_ffo``'s raw step generator, valuing points through its own Evaluator."""
+    spec = OptimizerSpec("ffo", overrides, max_iter, num_agents, seed)
+    return run_ffo.__wrapped__(spec, Evaluator(objective), DomainBox(*bounds, dimension))
 
 
 def ffo_run(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20, seed=3,
@@ -44,8 +43,29 @@ def ffo_run(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_i
     return run_optimizer(spec, objective, DomainBox(*bounds, dimension))
 
 
+def replay(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20, seed=3,
+           **overrides):
+    """Run the step generator beside the oracle's passes: every pass's moved rows
+    and best value agree bit for bit, and the run ends with the budget. Returns
+    the branches each pass took."""
+    params = resolve_params("ffo", overrides, num_agents)
+    steps = ffo_steps(objective, dimension=dimension, bounds=bounds, num_agents=num_agents,
+                      max_iter=max_iter, seed=seed, **overrides)
+    next(steps)
+    taken = []
+    for expected, best_value, branches in ffo_passes(
+            objective, *bounds, num_agents, dimension, max_iter, seed, params):
+        moved, _, best_fitness = next(steps)
+        assert moved.tobytes() == expected.tobytes()
+        assert best_fitness == best_value
+        taken.append(branches)
+    with pytest.raises(StopIteration):
+        next(steps)
+    return taken
+
+
 # ---------------------------------------------------------------------------
-# scalar helpers
+# acceptance, temperature and the pull's scale
 
 
 def test_acceptance_probability_certain_for_improvements():
@@ -68,14 +88,19 @@ def test_acceptance_probability_underflow_is_clean_zero():
 
 
 def test_current_temperature_first_iteration():
-    params = resolve_params("ffo", {}, 8)
-    assert current_temperature(params, 1) == pytest.approx(95.0)
-    assert current_temperature(params, 3) == pytest.approx(100.0 * 0.95**3)
+    # the oracle accepts a worse candidate at initial_temp * cooling_rate**k on
+    # pass k, from k = 1; the sweep must take the same worse candidates
+    taken = replay(num_agents=4, max_iter=4, mutation_probability=1.0, initial_temp=0.5,
+                   cooling_rate=0.5, step_size=5.0)
+    assert "uphill" in taken[0] and "uphill" in taken[2]
 
 
 def test_perturbation_intensity_grows_past_threshold():
-    assert perturbation_intensity(60, 50) == pytest.approx(0.3)
-    assert perturbation_intensity(51, 50) == pytest.approx(0.12)
+    # a constant objective never improves, so the counter is k on pass k and the
+    # pull's scale 0.1 + 0.02 * (counter - threshold) grows every pass
+    taken = replay(constant, num_agents=5, max_iter=12, perturbation_threshold=3,
+                   mutation_probability=0.0)
+    assert ["pull" in branches for branches in taken] == [False] * 3 + [True] * 8
 
 
 @pytest.mark.parametrize("overrides", [
@@ -105,165 +130,162 @@ def test_config_validation_rejects(overrides):
 
 
 # ---------------------------------------------------------------------------
-# state operations
+# the sweep: counter, local search, pull, cooling, stop test and crossover
 
 
 def test_initialize_population_and_best():
-    state = small_state(num_agents=30)
-    lower, upper = BOUNDS
-    assert state.agents.shape == (30, 2)
-    assert np.all(state.agents >= lower) and np.all(state.agents <= upper)
-    values = [sphere(a) for a in state.agents]
-    assert state.best_global_fitness == min(values)
-    assert np.array_equal(state.best_global_agent, state.agents[int(np.argmin(values))])
-    assert state.iteration == 1 and state.no_improve_counter == 0
+    steps = ffo_steps(num_agents=30)
+    moved, best_agent, best_fitness = next(steps)
+    agents = np.random.default_rng(3).uniform(*BOUNDS, size=(30, 2))
+    values = [sphere(a) for a in agents]
+    assert moved is None
+    assert best_fitness == min(values)
+    assert np.array_equal(best_agent, agents[int(np.argmin(values))])
 
 
 def test_evaluate_agents_counter_semantics():
-    state = small_state()
-    state.best_global_fitness = -1.0  # unbeatable, sphere is non-negative
-    evaluate_agents(state, Evaluator(sphere))
-    evaluate_agents(state, Evaluator(sphere))
-    assert state.no_improve_counter == 2  # one increment per call, not per agent
-    state.agents[0] = np.zeros(2)
-    state.best_global_fitness = 5.0
-    evaluate_agents(state, Evaluator(sphere))
-    assert state.no_improve_counter == 0
-    assert state.best_global_fitness == 0.0
+    # the counter grows once per pass, not once per agent: on a constant
+    # objective a limit of 3 stops the run before pass 5, after 4 passes
+    outcome = ffo_run(constant, num_agents=8, max_iter=100, use_additional_conditions=True,
+                      no_improve_limit=3)
+    assert outcome.iterations_run == 5
+    # a pass that improves resets it: every pass values lower than the last
+    calls = []
+
+    def falling(x):
+        calls.append(1)
+        return -float(len(calls))
+
+    outcome = ffo_run(falling, num_agents=8, max_iter=100, use_additional_conditions=True,
+                      no_improve_limit=1, target_fitness=-1e9, mutation_probability=0.0)
+    assert outcome.iterations_run == 100
 
 
 def test_evaluate_agents_tie_is_not_improvement():
-    state = small_state()
-    state.agents[0] = np.zeros(2)
-    evaluate_agents(state, Evaluator(sphere))
-    assert state.no_improve_counter == 0
-    evaluate_agents(state, Evaluator(sphere))  # same minimum again: a tie
-    assert state.no_improve_counter == 1
+    # every pass ties the best value, so the counter is k after pass k and the
+    # run stops once it exceeds the limit
+    for num_agents, limit in [(1, 1), (3, 5), (8, 30)]:
+        outcome = ffo_run(constant, num_agents=num_agents, max_iter=1000,
+                          use_additional_conditions=True, no_improve_limit=limit)
+        assert outcome.iterations_run == limit + 2
+        assert outcome.fitness_history == [1e-3] * (limit + 1)
 
 
 def test_local_search_greedy_at_zero_temperature():
-    state = small_state(seed=9)
-    state.iteration = 10**6  # temperature underflows to zero
+    # at a temperature that underflows the acceptance probability, each agent
+    # leaves its local search at the best point it valued: the agent itself or
+    # one of its 10 candidates. With an unmarked objective a pass values the N
+    # rows, then 11 points per agent.
     seen = []
 
     def recording(x):
-        value = sphere(x)
-        seen.append(value)
-        return value
+        seen.append(sphere(x))
+        return seen[-1]
 
-    result = local_search(state, state.agents[0].copy(), Evaluator(recording))
-    assert sphere(result) == min(seen)
+    steps = ffo_steps(recording, bounds=(-100.0, 100.0), num_agents=4, max_iter=6,
+                      initial_temp=1e-300, mutation_probability=1.0, crossover_probability=0.0)
+    next(steps)
+    seen.clear()
+    for moved, _, _ in steps:
+        searches = np.reshape(seen[4:], (4, 11))
+        assert [sphere(row) for row in moved] == searches.min(axis=1).tolist()
+        seen.clear()
 
 
 def test_local_search_candidate_count_grows_with_stagnation():
-    state = small_state(seed=9)
-    calls = []
-
-    def counting(x):
-        calls.append(1)
-        return sphere(x)
-
-    local_search(state, state.agents[0].copy(), Evaluator(counting))
-    assert len(calls) == 11  # incumbent + 10 candidates
-    calls.clear()
-    state.no_improve_counter = 250
-    local_search(state, state.agents[0].copy(), Evaluator(counting))
-    assert len(calls) == 21  # incumbent + 10 + 5 * (250 // 100)
+    # on a constant objective the counter is k on pass k, and a local search
+    # values its agent and 10 + 5 * (k // 100) candidates: with every agent
+    # searching, pass k values N * (12 + 5 * (k // 100)) points
+    n, budget = 3, 260
+    outcome = ffo_run(constant, num_agents=n, max_iter=budget, mutation_probability=1.0,
+                      crossover_probability=0.0)
+    assert outcome.evaluations == n + sum(n * (12 + 5 * (k // 100)) for k in range(1, budget))
 
 
 def test_apply_perturbation_replays_generator_draws():
-    state = small_state(seed=21)
+    # with the threshold at 0 the first pass, which only ties the initial best,
+    # is stagnant (counter 1): after its two gates each agent draws d gains of
+    # scale 0.1 + 0.02 * (1 - 0) and moves toward the global best by them
+    steps = ffo_steps(seed=21, perturbation_threshold=0, mutation_probability=0.0,
+                      crossover_probability=0.0)
+    _, best_agent, _ = next(steps)
+    moved, _, _ = next(steps)
     shadow = np.random.default_rng(21)
-    shadow.uniform(*BOUNDS, size=(8, 2))  # init draw
-    agent = state.agents[0].copy()
-    moved = apply_perturbation(state, agent, 0.3)
-    gains = shadow.normal(0.0, 0.3, size=2)
-    expected = agent + gains * (state.best_global_agent - agent)
-    assert np.allclose(moved, expected, atol=0.0)
+    agents = shadow.uniform(*BOUNDS, size=(8, 2))
+    for i, agent in enumerate(agents):
+        shadow.random()  # crossover gate
+        shadow.random()  # mutation gate
+        gains = shadow.normal(0.0, 0.1 + 0.02 * (1 - 0), size=2)
+        expected = np.clip(agent + gains * (best_agent - agent), *BOUNDS)
+        assert moved[i].tobytes() == expected.tobytes()
 
 
 def test_cooling_schedule_two_regimes():
-    state = small_state()
-    state.step_size = 1.0
-    state.no_improve_counter = state.params["perturbation_threshold"]
-    cooling_schedule(state)
-    assert state.step_size == pytest.approx(0.99)
-    state.step_size = 1.0
-    state.no_improve_counter = state.params["perturbation_threshold"] + 1
-    cooling_schedule(state)
-    assert state.step_size == pytest.approx(0.98)
+    # on a constant objective every candidate is accepted, so each local search
+    # is a walk whose steps have scale step_size * 0.1; the step size cools by
+    # 0.99 per pass up to the threshold and by 0.98 after it
+    taken = replay(constant, num_agents=3, max_iter=10, perturbation_threshold=4,
+                   mutation_probability=1.0, crossover_probability=0.0, step_size=2.0)
+    assert ["pull" in branches for branches in taken] == [False] * 4 + [True] * 5
 
 
 def test_should_terminate_budget_only_by_default():
-    state = small_state()
-    state.no_improve_counter = 10**6
-    state.best_global_fitness = 0.0
-    assert not should_terminate(state, 10)
-    state.iteration = 10
-    assert should_terminate(state, 10)
+    # without the conditions, neither a counter far past the limit nor a best
+    # value below the target stops the run
+    outcome = ffo_run(lambda x: 0.0, max_iter=40, no_improve_limit=1)
+    assert outcome.iterations_run == 40
+    assert len(outcome.fitness_history) == 39
 
 
 def test_should_terminate_additional_conditions():
-    state = small_state(use_additional_conditions=True, no_improve_limit=5, target_fitness=1e-3)
-    state.best_global_fitness = 1.0
-    assert not should_terminate(state, 100)
-    state.no_improve_counter = 6
-    assert should_terminate(state, 100)
-    state.no_improve_counter = 0
-    state.best_global_fitness = 1e-4
-    assert should_terminate(state, 100)
-    state.best_global_fitness = 1e-3  # boundary: strict less-than required
-    assert not should_terminate(state, 100)
+    def run(**overrides):
+        return ffo_run(constant, max_iter=100, use_additional_conditions=True,
+                       no_improve_limit=5, **overrides).iterations_run
+
+    assert run(target_fitness=1e-4) == 7  # stagnation: the counter exceeds 5 after 6 passes
+    assert run(target_fitness=1e-2) == 1  # the initial best is already below the target
+    assert run(target_fitness=1e-3) == 7  # boundary: strict less-than required
 
 
 def test_update_agents_keeps_population_in_bounds():
-    state = small_state(num_agents=12, seed=5)
+    # wide local-search steps and the pull throw agents out of the box, and
+    # every one comes back clipped
     lower, upper = BOUNDS
-    for _ in range(30):
-        update_agents(state, Evaluator(sphere))
-        cooling_schedule(state)
-        state.iteration += 1
-        assert np.all(state.agents >= lower) and np.all(state.agents <= upper)
+    steps = ffo_steps(num_agents=12, seed=5, max_iter=31, step_size=50.0,
+                      mutation_probability=0.5, perturbation_threshold=2)
+    next(steps)
+    rows = np.concatenate([moved for moved, _, _ in steps])
+    assert rows.shape == (30 * 12, 2)
+    assert np.all(rows >= lower) and np.all(rows <= upper)
+    assert np.any(rows == lower) and np.any(rows == upper)
 
 
 def test_update_agents_single_coordinate_skips_crossover():
-    # with one coordinate there is no cut point, so neither the crossover
-    # gate draw nor the partner draw happens; each agent consumes exactly
-    # one uniform (its mutation gate) when nothing else fires
-    state = small_state(dimension=1, crossover_probability=1.0, mutation_probability=0.0, seed=2)
+    # with one coordinate there is no cut point, so neither the crossover gate
+    # nor the partner is drawn: on a stagnant first pass (counter 1, threshold
+    # 0) each agent draws its mutation gate and then its one pull gain
+    steps = ffo_steps(dimension=1, seed=2, crossover_probability=1.0, mutation_probability=0.0,
+                      perturbation_threshold=0)
+    _, best_agent, _ = next(steps)
+    moved, _, _ = next(steps)
     shadow = np.random.default_rng(2)
-    shadow.uniform(*BOUNDS, size=(8, 1))
-    update_agents(state, Evaluator(sphere))
-    for _ in range(8):
-        shadow.random()  # mutation gates
-    assert state.rng.random() == shadow.random()  # generators in lockstep
+    agents = shadow.uniform(*BOUNDS, size=(8, 1))
+    for i, agent in enumerate(agents):
+        shadow.random()  # mutation gate
+        gain = shadow.normal(0.0, 0.1 + 0.02 * (1 - 0), size=1)
+        assert moved[i].tobytes() == np.clip(agent + gain * (best_agent - agent),
+                                             *BOUNDS).tobytes()
 
 
 @pytest.mark.parametrize("num_agents", [1, 3, 9])
 def test_update_agents_crossover_replays_one_point_crossover(num_agents):
-    # the sweep swaps tails in place; a shadow generator replaying the same
-    # draws through the reference one_point_crossover must reach the same rows,
-    # also when the partner is the agent itself (always so with one agent)
-    state = small_state(dimension=4, num_agents=num_agents, crossover_probability=0.7,
-                        mutation_probability=0.0, perturbation_threshold=10**6, seed=13)
-    shadow = np.random.default_rng(13)
-    agents = shadow.uniform(*BOUNDS, size=(num_agents, 4))
-    self_partnered = 0
-    for _ in range(6):
-        moved = update_agents(state, Evaluator(sphere))
-        expected = np.empty_like(agents)
-        for i in range(num_agents):
-            if shadow.random() < 0.7:
-                partner = int(shadow.integers(num_agents))
-                self_partnered += partner == i
-                agents[i], agents[partner] = one_point_crossover(
-                    agents[i], agents[partner], int(shadow.integers(1, 4)))
-            shadow.random()  # mutation gate
-            expected[i] = agents[i]
-        assert state.agents.tobytes() == agents.tobytes()
-        assert moved.tobytes() == expected.tobytes()
-    assert self_partnered
-    assert state.rng.random() == shadow.random()  # generators in lockstep
+    # the sweep swaps tails in place; the oracle replays the same draws through
+    # the reference one_point_crossover and must reach the same rows, also when
+    # the partner is the agent itself (always so with one agent)
+    taken = replay(dimension=4, num_agents=num_agents, max_iter=7, crossover_probability=0.7,
+                   mutation_probability=0.0, perturbation_threshold=10**6, seed=13)
+    assert any("self-partner" in branches for branches in taken)
+    assert ("swap" in set().union(*taken)) == (num_agents > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +327,15 @@ def test_run_with_conditions_stops_on_target():
 
 
 def test_streaming_distance_matches_resummed_path():
-    # replay the run through the public operations, keep every row that
-    # update_agents returns, and re-sum that path by brute force; the replay
-    # also pins run_ffo's loop to the operators
-    state = small_state(num_agents=5, seed=13)
-    visited = []
-    while not should_terminate(state, 12):
-        visited.extend(update_agents(state, Evaluator(sphere)))
-        cooling_schedule(state)
-        state.iteration += 1
+    # keep every row the step generator yields and re-sum that path by brute
+    # force
+    steps = list(ffo_steps(num_agents=5, max_iter=12, seed=13))
+    visited = [row for moved, _, _ in steps[1:] for row in moved]
     assert len(visited) == 11 * 5
     outcome = ffo_run(max_iter=12, num_agents=5, seed=13)
     assert outcome.total_distance == pytest.approx(path_length(visited), rel=1e-12)
     assert outcome.total_distance > 0.0
-    assert outcome.best_fitness == state.best_global_fitness
-    assert outcome.iterations_run == state.iteration
+    assert outcome.best_fitness == steps[-1][2]
 
 
 def test_non_finite_objective_raises_evaluation_error():
@@ -347,8 +363,7 @@ def test_non_finite_local_search_candidate_raises_evaluation_error():
             return float("nan")
         return sphere(x)
 
-    state = small_state(nan_outside_box, **settings)
-    evaluate_agents(state, Evaluator(nan_outside_box))  # every population row is finite
+    next(ffo_steps(nan_outside_box, **settings))  # every initial row is finite
     with pytest.raises(EvaluationError) as exc:
         ffo_run(nan_outside_box, **settings)
     assert np.any(np.abs(exc.value.agent) > 1.0)

@@ -17,7 +17,7 @@ import pytest
 
 import ember.baselines as baselines
 import ember.harness as harness
-from ember.baselines import PARAM_DEFAULTS, register_optimizer, resolve_params
+from ember.baselines import PARAM_DEFAULTS, resolve_params
 from ember.cli import main as cli_main
 from ember.errors import ConfigError, MetricError
 from ember.harness import (
@@ -411,45 +411,37 @@ def test_master_seed_changes_results():
     assert any(a.best_fitness != b.best_fitness for a, b in pairs)
 
 
-def test_failing_cell_is_recorded_and_grid_continues():
+def test_failing_cell_is_recorded_and_grid_continues(monkeypatch):
     def unstable(spec, objective, domain):
         raise RuntimeError("deliberate failure")
 
-    register_optimizer("unstable", unstable, {})
-    try:
-        grid = ExperimentGrid(algorithms=("unstable", "pso"), functions=("sphere",),
-                              dimensions=(2,), agent_counts=(5,),
-                              iteration_counts=(10,), seeds=(0,))
-        records = run_grid(grid)
-    finally:
-        del baselines._OPTIMIZERS["unstable"]
-        del PARAM_DEFAULTS["unstable"]
+    monkeypatch.setitem(baselines._OPTIMIZERS, "unstable", unstable)
+    grid = ExperimentGrid(algorithms=("unstable", "pso"), functions=("sphere",),
+                          dimensions=(2,), agent_counts=(5,),
+                          iteration_counts=(10,), seeds=(0,))
+    records = run_grid(grid)
     assert records[0].status == "error"
     assert "deliberate failure" in records[0].message
     assert records[0].best_fitness is None
     assert records[1].status == "ok"
 
 
-def test_undefined_distance_rate_fails_only_its_cell():
+def test_undefined_distance_rate_fails_only_its_cell(monkeypatch):
     def instant(spec, objective, domain):
         return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
 
-    register_optimizer("instant", instant, {})
-    try:
-        grid = ExperimentGrid(algorithms=("instant", "pso"), functions=("sphere",),
-                              dimensions=(2,), agent_counts=(5,),
-                              iteration_counts=(10,), seeds=(0,))
-        records = run_grid(grid)
-    finally:
-        del baselines._OPTIMIZERS["instant"]
-        del PARAM_DEFAULTS["instant"]
+    monkeypatch.setitem(baselines._OPTIMIZERS, "instant", instant)
+    grid = ExperimentGrid(algorithms=("instant", "pso"), functions=("sphere",),
+                          dimensions=(2,), agent_counts=(5,),
+                          iteration_counts=(10,), seeds=(0,))
+    records = run_grid(grid)
     assert records[0].status == "error"
     assert records[0].message.startswith("MetricError: execution time must be positive")
     assert records[0].best_fitness is None
     assert records[1].status == "ok"
 
 
-def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys):
+def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys, monkeypatch):
     main_pid = os.getpid()
 
     def crash(spec, objective, domain):
@@ -463,12 +455,8 @@ def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys):
         "agent_counts": [5], "iteration_counts": [10], "seeds": [0, 1], "jobs": 2,
     }))
     out = tmp_path / "out"
-    register_optimizer("crash", crash, {})
-    try:
-        code = cli_main(["grid", str(config), "--out", str(out)])
-    finally:
-        del baselines._OPTIMIZERS["crash"]
-        del PARAM_DEFAULTS["crash"]
+    monkeypatch.setitem(baselines._OPTIMIZERS, "crash", crash)
+    code = cli_main(["grid", str(config), "--out", str(out)])
     # the pool breaks with the first crash; pso cells still queued fail with it
     assert code in (0, 1), capsys.readouterr().err
     with (out / "results.csv").open(newline="") as fh:
