@@ -466,6 +466,73 @@ def test_validate_full_registry_passes(capsys):
     assert "0 failed" in out
 
 
+PINNED_VALIDATE = """\
+ackley               dim=2   residual=4.441e-16 tol=1.000e-04 ok
+ackley               dim=20  residual=4.441e-16 tol=1.000e-04 ok
+ackley               dim=50  residual=4.441e-16 tol=1.000e-04 ok
+alpine               dim=2   residual=0.000e+00 tol=1.000e-04 ok
+alpine               dim=20  residual=0.000e+00 tol=1.000e-04 ok
+alpine               dim=50  residual=0.000e+00 tol=1.000e-04 ok
+booth                dim=2   residual=0.000e+00 tol=1.000e-04 ok
+cross_in_tray        dim=2   residual=1.871e-06 tol=1.000e-04 ok
+drop_wave            dim=2   residual=0.000e+00 tol=1.000e-04 ok
+easom                dim=2   residual=0.000e+00 tol=1.000e-04 ok
+easom                dim=20  residual=0.000e+00 tol=1.000e-04 ok
+easom                dim=50  residual=0.000e+00 tol=1.000e-04 ok
+eggholder            dim=2   residual=3.729e-05 tol=1.000e-03 ok
+eggholder            dim=20  skipped (no published minimizer)
+eggholder            dim=50  skipped (no published minimizer)
+expanded_schaffer_f6 dim=2   residual=0.000e+00 tol=1.000e-04 ok
+expanded_schaffer_f6 dim=20  residual=0.000e+00 tol=1.000e-04 ok
+expanded_schaffer_f6 dim=50  residual=0.000e+00 tol=1.000e-04 ok
+expanded_zakharov    dim=2   residual=0.000e+00 tol=1.000e-04 ok
+expanded_zakharov    dim=20  residual=0.000e+00 tol=1.000e-04 ok
+expanded_zakharov    dim=50  residual=0.000e+00 tol=1.000e-04 ok
+goldstein_price      dim=2   residual=0.000e+00 tol=1.000e-04 ok
+goldstein_price      dim=20  skipped (no published minimizer)
+goldstein_price      dim=50  skipped (no published minimizer)
+griewank             dim=2   residual=0.000e+00 tol=1.000e-04 ok
+griewank             dim=20  residual=0.000e+00 tol=1.000e-04 ok
+griewank             dim=50  residual=0.000e+00 tol=1.000e-04 ok
+himmelblau           dim=2   residual=1.099e-11 tol=1.000e-04 ok
+holder_table         dim=2   residual=2.568e-06 tol=1.000e-03 ok
+levy_n13             dim=2   residual=1.350e-31 tol=1.000e-04 ok
+matyas               dim=2   residual=0.000e+00 tol=1.000e-04 ok
+michalewicz          dim=2   skipped (no published minimizer)
+michalewicz          dim=20  skipped (no published minimizer)
+michalewicz          dim=50  skipped (no published minimizer)
+rastrigin            dim=2   residual=0.000e+00 tol=1.000e-04 ok
+rastrigin            dim=20  residual=0.000e+00 tol=1.000e-04 ok
+rastrigin            dim=50  residual=0.000e+00 tol=1.000e-04 ok
+rosenbrock           dim=2   residual=0.000e+00 tol=1.000e-04 ok
+rosenbrock           dim=20  residual=0.000e+00 tol=1.000e-04 ok
+rosenbrock           dim=50  residual=0.000e+00 tol=1.000e-04 ok
+schaffer_n2          dim=2   residual=0.000e+00 tol=1.000e-04 ok
+schaffer_n2          dim=20  residual=0.000e+00 tol=1.000e-04 ok
+schaffer_n2          dim=50  residual=0.000e+00 tol=1.000e-04 ok
+schwefel             dim=2   residual=2.546e-05 tol=1.000e-03 ok
+schwefel             dim=20  residual=2.546e-04 tol=1.000e-03 ok
+schwefel             dim=50  residual=6.364e-04 tol=1.000e-03 ok
+sphere               dim=2   residual=0.000e+00 tol=1.000e-04 ok
+sphere               dim=20  residual=0.000e+00 tol=1.000e-04 ok
+sphere               dim=50  residual=0.000e+00 tol=1.000e-04 ok
+styblinski_tang      dim=2   residual=3.514e-04 tol=2.000e-03 ok
+styblinski_tang      dim=20  residual=3.514e-03 tol=2.000e-02 ok
+styblinski_tang      dim=50  residual=8.785e-03 tol=5.000e-02 ok
+three_hump_camel     dim=2   residual=0.000e+00 tol=1.000e-04 ok
+whitley              dim=2   residual=0.000e+00 tol=1.000e-04 ok
+whitley              dim=20  residual=0.000e+00 tol=1.000e-04 ok
+whitley              dim=50  residual=0.000e+00 tol=1.000e-04 ok
+checked 49 function/dimension pairs, 0 failed
+"""
+
+
+def test_validate_stdout_is_pinned_byte_for_byte(capsys):
+    code, out, err = run_cli(capsys, ["validate"])
+    assert code == 0 and err == ""
+    assert out == PINNED_VALIDATE
+
+
 def test_validate_subset_and_uniform_tolerance(capsys):
     code, out, _ = run_cli(capsys, ["validate", "--fn", "sphere", "--fn", "booth"])
     assert code == 0

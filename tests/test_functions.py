@@ -6,6 +6,7 @@ change to any evaluator shows up as a numeric diff, not just a tolerance
 failure.
 """
 
+import hashlib
 import math
 import operator
 
@@ -52,6 +53,30 @@ def test_registry_is_complete_and_sorted():
     names = [fn.name for fn in list_functions()]
     assert names == ALL_NAMES
     assert len(names) == 24
+
+
+def _registry_dump() -> str:
+    """Every entry's fields, and its minimum, tolerance and minimizer bytes at
+    d = 1, 2, 3, 20 and 50, as canonical text."""
+    lines = []
+    for fn in list_functions():
+        lines.append(
+            f"{fn.name} domain={fn.domain!r} dim_class={fn.dim_class} "
+            f"min_dimension={fn.min_dimension} attributes={sorted(fn.attributes)} "
+            f"tolerance={fn.tolerance!r} batch={getattr(fn.evaluator, 'batch_capable', False)}"
+        )
+        for d in (1, 2, 3, 20, 50):
+            if not fn.accepts_dimension(d):
+                lines.append(f"  d={d} rejected")
+                continue
+            lines.append(f"  d={d} min={fn.min_value(d)!r} tol={fn.tolerance_at(d)!r}")
+            lines.extend(f"    {m.dtype} {m.tobytes().hex()}" for m in fn.minimizers(d))
+    return "\n".join(lines) + "\n"
+
+
+def test_registry_entries_are_pinned():
+    digest = hashlib.sha256(_registry_dump().encode()).hexdigest()
+    assert digest == "f646b667957af44524283bee9e7d271d81bb8af1a2333df6041f2a1ce77b3ec9"
 
 
 def test_scalable_tag_matches_experiment_set():
