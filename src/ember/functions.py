@@ -1,28 +1,30 @@
 """Benchmark function registry.
 
 Twenty-four continuous test functions for minimization, each carrying its
-search domain, dimensionality class, attribute tags, and published optimum.
-Evaluators are plain numpy. Each takes a float array of shape ``(..., d)``
-and reduces over the last axis: a single point of shape ``(d,)`` gives a
-scalar, a batch of shape ``(n, d)`` gives ``n`` values, each bit for bit the
-value of that row alone. The registry marks each evaluator
-:func:`~ember.recording.batch_capable` when it registers it, so the
-optimizers evaluate a whole population in one call.
+search domain, the dimensions it accepts, attribute tags, and published
+optimum. One table row per function holds all of it; the registry is built
+from the table at import. Evaluators are plain numpy. Each takes a float
+array of shape ``(..., d)`` and reduces over the last axis: a single point of
+shape ``(d,)`` gives a scalar, a batch of shape ``(n, d)`` gives ``n`` values,
+each bit for bit the value of that row alone. The registry marks each
+evaluator :func:`~ember.recording.batch_capable`, so the optimizers evaluate
+a whole population in one call.
 
-Two notions of scalability coexist here and should not be confused:
+Two notions of scalability coexist here and have two names in the table:
 
-* ``dim_class`` says whether ``evaluate`` accepts dimensions other than 2.
-  Functions with an n-dimensional closed form (sphere, rastrigin, ...) and
-  the five pairwise-expanded 2D kernels are ``"scalable"``; the remaining
-  eight are ``"fixed-2d"``.
+* The ``n`` column says which dimensions ``evaluate`` accepts: any n
+  (``ANY_N``, functions with an n-dimensional closed form), any n >= 2
+  (``N_FROM_2``, the five expanded two-variable kernels) or n = 2 only
+  (``N_IS_2``, the remaining eight). An entry keeps it as ``dim_class``
+  (``"scalable"`` or ``"fixed-2d"``) and ``min_dimension``.
 * The ``"scalable"`` attribute tag marks the twelve functions conventionally
-  used for high-dimensional comparisons. Some functions (alpine, michalewicz,
-  rastrigin, styblinski_tang) evaluate at any dimension yet do not carry the
-  tag; experiment grids pair dimensions above 2 with tagged functions only.
+  used for high-dimensional comparisons; experiment grids pair dimensions
+  above 2 with tagged functions only. alpine, michalewicz, rastrigin and
+  styblinski_tang accept any n yet do not carry the tag.
 
-The five 2D-native kernels tagged scalable (easom, eggholder, goldstein_price,
-schaffer_n2, expanded_schaffer_f6) keep their plain two-variable form at n = 2
-and use the expanded cyclic composition F(x) = sum_i f2(x_i, x_{i+1 mod n})
+The five expanded kernels (easom, eggholder, goldstein_price, schaffer_n2,
+expanded_schaffer_f6) keep their plain two-variable form at n = 2 and use the
+cyclic composition F(x) = sum_i f2(x_i, x_{i+1 mod n}) at n > 2.
 at n > 2.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,16 +82,28 @@ class BenchmarkFunction:
     domain: tuple[float, float]
     dim_class: str
     attributes: frozenset[str]
-    min_value: Callable[[int], float | None] = field(repr=False)
-    minimizers: Callable[[int], list[np.ndarray]] = field(repr=False)
+    minimum: float | None
+    minimum_rule: str
+    minimizer: float | tuple[tuple[float, float], ...]
     min_dimension: int = 1
     tolerance: float = 1e-3
-    # Set where the stored optimum is a rounded per-coordinate constant, so the
-    # acceptable deviation grows with dimension (styblinski_tang).
-    tolerance_per_coordinate: bool = False
+
+    def min_value(self, n: int) -> float | None:
+        """The published minimum value at dimension n, None where none is published."""
+        if self.minimum_rule == PER_COORDINATE or (self.minimum_rule == CYCLIC and n > 2):
+            return self.minimum * n
+        if self.minimum_rule == AT_2 and n != 2:
+            return None
+        return self.minimum
+
+    def minimizers(self, n: int) -> list[np.ndarray]:
+        """The published minimizers at dimension n, as new arrays on every call."""
+        if isinstance(self.minimizer, tuple):
+            return [np.array(p, dtype=float) for p in self.minimizer] if n == 2 else []
+        return [np.full(n, self.minimizer)]
 
     def tolerance_at(self, n: int) -> float:
-        return self.tolerance * (n if self.tolerance_per_coordinate else 1)
+        return self.tolerance * (n if self.minimum_rule == PER_COORDINATE else 1)
 
     def accepts_dimension(self, n: int) -> bool:
         if self.dim_class == FIXED_2D:
@@ -341,232 +355,99 @@ def zakharov(x: np.ndarray):
     return np.add.reduce(x**2, axis=-1) + power(s, 2) + power(s, 4)
 
 
-easom_nd = _expand_cyclic(_pair_easom)
-eggholder_nd = _expand_cyclic(_pair_eggholder)
-goldstein_price_nd = _expand_cyclic(_pair_goldstein_price)
-schaffer_n2_nd = _expand_cyclic(_pair_schaffer_n2)
-expanded_schaffer_f6_nd = _expand_cyclic(_pair_schaffer_f6)
-
-
 # ---------------------------------------------------------------------------
-# registry assembly
+# registry table
+#
+# One row per function:
+#   name, evaluator, domain: the same [lower, upper] on every coordinate;
+#   n: the dimensions the function accepts, as (dim_class, min_dimension):
+#     ANY_N     any n >= 1;
+#     N_FROM_2  any n >= 2: a two-variable kernel, expanded cyclically above 2;
+#     N_IS_2    n = 2 only (min_dimension is not read);
+#   minimum and its rule, giving the minimum value at dimension n:
+#     CONSTANT        the stored value at every n (None: no published value);
+#     AT_2            the stored value at n = 2, None above (no published value);
+#     CYCLIC          the stored value at n = 2, n times it above: each of the n
+#                     cyclic pairs sits at the kernel's minimizer;
+#     PER_COORDINATE  n times the stored value, and n times the tolerance too,
+#                     because the value is a rounded constant per coordinate;
+#   minimizer: a float is one coordinate repeated at every n; a tuple lists 2-D
+#     points, published at n = 2 only (empty: no published minimizer);
+#   tolerance: the largest deviation validate_registry accepts at the minimizers;
+#   tags: the attribute tags. "scalable" among them marks the functions that
+#     experiment grids run above d = 2, which is narrower than accepting n > 2.
 
+ANY_N = (SCALABLE, 1)
+N_FROM_2 = (SCALABLE, 2)
+N_IS_2 = (FIXED_2D, 1)
 
-def _const_vector(value: float):
-    def minimizers(n: int) -> list[np.ndarray]:
-        return [np.full(n, value)]
+CONSTANT = "constant"
+AT_2 = "at-2"
+CYCLIC = "cyclic"
+PER_COORDINATE = "per-coordinate"
 
-    return minimizers
+_TABLE = [
+    ("ackley", ackley, (-5.0, 5.0), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "multimodal non-separable differentiable continuous scalable"),
+    ("alpine", alpine, (-10.0, 10.0), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "multimodal separable non-differentiable continuous"),
+    ("booth", booth, (-10.0, 10.0), N_IS_2, 0.0, CONSTANT, ((1.0, 3.0),), 1e-4,
+     "unimodal non-separable differentiable continuous"),
+    ("cross_in_tray", cross_in_tray, (-10.0, 10.0), N_IS_2, -2.06261, CONSTANT,
+     ((1.34941, 1.34941), (1.34941, -1.34941), (-1.34941, 1.34941), (-1.34941, -1.34941)),
+     1e-4, "multimodal non-separable non-differentiable continuous"),
+    ("drop_wave", drop_wave, (-5.12, 5.12), N_IS_2, -1.0, CONSTANT, ((0.0, 0.0),), 1e-4,
+     "multimodal non-separable differentiable continuous"),
+    ("easom", _expand_cyclic(_pair_easom), (-100.0, 100.0), N_FROM_2, -1.0, CYCLIC, np.pi, 1e-4,
+     "unimodal non-separable differentiable continuous scalable"),
+    ("eggholder", _expand_cyclic(_pair_eggholder), (-512.0, 512.0), N_FROM_2, -959.6407, AT_2,
+     ((512.0, 404.2319),), 1e-3, "multimodal non-separable non-differentiable continuous scalable"),
+    ("expanded_schaffer_f6", _expand_cyclic(_pair_schaffer_f6), (-10.0, 10.0), N_FROM_2,
+     0.0, CONSTANT, 0.0, 1e-4, "multimodal non-separable differentiable continuous scalable"),
+    ("expanded_zakharov", zakharov, (-10.0, 10.0), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "unimodal non-separable differentiable continuous scalable"),
+    ("goldstein_price", _expand_cyclic(_pair_goldstein_price), (-2.0, 2.0), N_FROM_2, 3.0, AT_2,
+     ((0.0, -1.0),), 1e-4, "multimodal non-separable differentiable continuous scalable"),
+    ("griewank", griewank, (-600.0, 600.0), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "multimodal non-separable differentiable continuous scalable"),
+    ("himmelblau", himmelblau, (-5.0, 5.0), N_IS_2, 0.0, CONSTANT,
+     ((3.0, 2.0), (-2.805118, 3.131312), (-3.779310, -3.283186), (3.584428, -1.848126)),
+     1e-4, "multimodal non-separable differentiable continuous"),
+    ("holder_table", holder_table, (-10.0, 10.0), N_IS_2, -19.2085, CONSTANT,
+     ((8.05502, 9.66459), (8.05502, -9.66459), (-8.05502, 9.66459), (-8.05502, -9.66459)),
+     1e-3, "multimodal non-separable non-differentiable continuous"),
+    ("levy_n13", levy_n13, (-10.0, 10.0), N_IS_2, 0.0, CONSTANT, ((1.0, 1.0),), 1e-4,
+     "multimodal non-separable differentiable continuous"),
+    ("matyas", matyas, (-10.0, 10.0), N_IS_2, 0.0, CONSTANT, ((0.0, 0.0),), 1e-4,
+     "unimodal non-separable differentiable continuous"),
+    ("michalewicz", michalewicz, (0.0, np.pi), ANY_N, None, CONSTANT, (), 1e-3,
+     "multimodal separable differentiable continuous"),
+    ("rastrigin", rastrigin, (-5.12, 5.12), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "multimodal separable differentiable continuous"),
+    ("rosenbrock", rosenbrock, (-2.048, 2.048), ANY_N, 0.0, CONSTANT, 1.0, 1e-4,
+     "unimodal non-separable differentiable continuous scalable"),
+    ("schaffer_n2", _expand_cyclic(_pair_schaffer_n2), (-100.0, 100.0), N_FROM_2,
+     0.0, CONSTANT, 0.0, 1e-4, "multimodal non-separable differentiable continuous scalable"),
+    ("schwefel", schwefel, (-500.0, 500.0), ANY_N, 0.0, CONSTANT, 420.9687, 1e-3,
+     "multimodal separable non-differentiable continuous scalable"),
+    ("sphere", sphere, (-5.12, 5.12), ANY_N, 0.0, CONSTANT, 0.0, 1e-4,
+     "unimodal separable differentiable continuous scalable"),
+    ("styblinski_tang", styblinski_tang, (-5.0, 5.0), ANY_N, -39.16599, PER_COORDINATE,
+     -2.903534, 1e-3, "multimodal separable differentiable continuous"),
+    ("three_hump_camel", three_hump_camel, (-5.0, 5.0), N_IS_2, 0.0, CONSTANT, ((0.0, 0.0),),
+     1e-4, "multimodal non-separable differentiable continuous"),
+    ("whitley", whitley, (-10.0, 10.0), ANY_N, 0.0, CONSTANT, 1.0, 1e-4,
+     "multimodal non-separable differentiable continuous scalable"),
+]
 
-
-def _points_2d(*points):
-    def minimizers(n: int) -> list[np.ndarray]:
-        if n != 2:
-            return []
-        return [np.array(p, dtype=float) for p in points]
-
-    return minimizers
-
-
-def _fixed_value(v: float | None):
-    def min_value(n: int) -> float | None:
-        return v
-
-    return min_value
-
-
-def _value_2d(v: float):
-    def min_value(n: int) -> float | None:
-        return v if n == 2 else None
-
-    return min_value
-
-
-_REGISTRY: dict[str, BenchmarkFunction] = {}
-
-
-def _register(
-    name,
-    evaluator,
-    domain,
-    dim_class,
-    tags,
-    min_value,
-    minimizers,
-    min_dimension=1,
-    tolerance=1e-3,
-    tolerance_per_coordinate=False,
-):
-    fn = BenchmarkFunction(
-        name=name,
-        evaluator=batch_capable(evaluator),
-        domain=domain,
-        dim_class=dim_class,
-        attributes=frozenset(tags),
-        min_value=min_value,
-        minimizers=minimizers,
-        min_dimension=min_dimension,
-        tolerance=tolerance,
-        tolerance_per_coordinate=tolerance_per_coordinate,
+_REGISTRY: dict[str, BenchmarkFunction] = {
+    name: BenchmarkFunction(
+        name, batch_capable(evaluator), domain, dim_class, frozenset(tags.split()),
+        minimum, rule, minimizer, min_dimension, tolerance,
     )
-    _REGISTRY[name] = fn
-
-
-_MULTI = "multimodal"
-_UNI = "unimodal"
-_SEP = "separable"
-_NONSEP = "non-separable"
-_DIFF = "differentiable"
-_NONDIFF = "non-differentiable"
-_CONT = "continuous"
-_SCAL = "scalable"
-
-_register(
-    "ackley", ackley, (-5.0, 5.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-_register(
-    "alpine", alpine, (-10.0, 10.0), SCALABLE,
-    {_MULTI, _SEP, _NONDIFF, _CONT},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-_register(
-    "booth", booth, (-10.0, 10.0), FIXED_2D,
-    {_UNI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(0.0), _points_2d((1.0, 3.0)), tolerance=1e-4,
-)
-_register(
-    "cross_in_tray", cross_in_tray, (-10.0, 10.0), FIXED_2D,
-    {_MULTI, _NONSEP, _NONDIFF, _CONT},
-    _fixed_value(-2.06261),
-    _points_2d((1.34941, 1.34941), (1.34941, -1.34941), (-1.34941, 1.34941), (-1.34941, -1.34941)),
-    tolerance=1e-4,
-)
-_register(
-    "drop_wave", drop_wave, (-5.12, 5.12), FIXED_2D,
-    {_MULTI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(-1.0), _points_2d((0.0, 0.0)), tolerance=1e-4,
-)
-
-
-def _easom_value(n: int) -> float:
-    return -1.0 if n == 2 else -float(n)
-
-
-_register(
-    "easom", easom_nd, (-100.0, 100.0), SCALABLE,
-    {_UNI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _easom_value, _const_vector(np.pi), min_dimension=2, tolerance=1e-4,
-)
-_register(
-    "eggholder", eggholder_nd, (-512.0, 512.0), SCALABLE,
-    {_MULTI, _NONSEP, _NONDIFF, _CONT, _SCAL},
-    _value_2d(-959.6407), _points_2d((512.0, 404.2319)), min_dimension=2, tolerance=1e-3,
-)
-_register(
-    "expanded_schaffer_f6", expanded_schaffer_f6_nd, (-10.0, 10.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), min_dimension=2, tolerance=1e-4,
-)
-_register(
-    "expanded_zakharov", zakharov, (-10.0, 10.0), SCALABLE,
-    {_UNI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-_register(
-    "goldstein_price", goldstein_price_nd, (-2.0, 2.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _value_2d(3.0), _points_2d((0.0, -1.0)), min_dimension=2, tolerance=1e-4,
-)
-_register(
-    "griewank", griewank, (-600.0, 600.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-_register(
-    "himmelblau", himmelblau, (-5.0, 5.0), FIXED_2D,
-    {_MULTI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(0.0),
-    _points_2d(
-        (3.0, 2.0),
-        (-2.805118, 3.131312),
-        (-3.779310, -3.283186),
-        (3.584428, -1.848126),
-    ),
-    tolerance=1e-4,
-)
-_register(
-    "holder_table", holder_table, (-10.0, 10.0), FIXED_2D,
-    {_MULTI, _NONSEP, _NONDIFF, _CONT},
-    _fixed_value(-19.2085),
-    _points_2d(
-        (8.05502, 9.66459), (8.05502, -9.66459), (-8.05502, 9.66459), (-8.05502, -9.66459)
-    ),
-    tolerance=1e-3,
-)
-_register(
-    "levy_n13", levy_n13, (-10.0, 10.0), FIXED_2D,
-    {_MULTI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(0.0), _points_2d((1.0, 1.0)), tolerance=1e-4,
-)
-_register(
-    "matyas", matyas, (-10.0, 10.0), FIXED_2D,
-    {_UNI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(0.0), _points_2d((0.0, 0.0)), tolerance=1e-4,
-)
-_register(
-    "michalewicz", michalewicz, (0.0, np.pi), SCALABLE,
-    {_MULTI, _SEP, _DIFF, _CONT},
-    _fixed_value(None), _points_2d(), tolerance=1e-3,
-)
-_register(
-    "rastrigin", rastrigin, (-5.12, 5.12), SCALABLE,
-    {_MULTI, _SEP, _DIFF, _CONT},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-_register(
-    "rosenbrock", rosenbrock, (-2.048, 2.048), SCALABLE,
-    {_UNI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(1.0), tolerance=1e-4,
-)
-_register(
-    "schaffer_n2", schaffer_n2_nd, (-100.0, 100.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), min_dimension=2, tolerance=1e-4,
-)
-_register(
-    "schwefel", schwefel, (-500.0, 500.0), SCALABLE,
-    {_MULTI, _SEP, _NONDIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(420.9687), tolerance=1e-3,
-)
-_register(
-    "sphere", sphere, (-5.12, 5.12), SCALABLE,
-    {_UNI, _SEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(0.0), tolerance=1e-4,
-)
-
-
-def _styblinski_value(n: int) -> float:
-    return -39.16599 * n
-
-
-_register(
-    "styblinski_tang", styblinski_tang, (-5.0, 5.0), SCALABLE,
-    {_MULTI, _SEP, _DIFF, _CONT},
-    _styblinski_value, _const_vector(-2.903534),
-    tolerance=1e-3, tolerance_per_coordinate=True,
-)
-_register(
-    "three_hump_camel", three_hump_camel, (-5.0, 5.0), FIXED_2D,
-    {_MULTI, _NONSEP, _DIFF, _CONT},
-    _fixed_value(0.0), _points_2d((0.0, 0.0)), tolerance=1e-4,
-)
-_register(
-    "whitley", whitley, (-10.0, 10.0), SCALABLE,
-    {_MULTI, _NONSEP, _DIFF, _CONT, _SCAL},
-    _fixed_value(0.0), _const_vector(1.0), tolerance=1e-4,
-)
+    for (name, evaluator, domain, (dim_class, min_dimension),
+         minimum, rule, minimizer, tolerance, tags) in _TABLE
+}
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +523,7 @@ def known_minimum(name: str, dimension: int) -> tuple[float | None, list[np.ndar
     """
     fn = get_function(name)
     _check_dimension(fn, dimension)
-    return fn.min_value(dimension), [m.copy() for m in fn.minimizers(dimension)]
+    return fn.min_value(dimension), fn.minimizers(dimension)
 
 
 @dataclass(frozen=True)

@@ -371,9 +371,13 @@ def test_known_minimum_returns_copies():
 
 
 def test_styblinski_tolerance_scales_with_dimension():
-    fn = get_function("styblinski_tang")
-    assert fn.tolerance_per_coordinate
-    assert fn.tolerance_at(50) == pytest.approx(50 * fn.tolerance)
+    # styblinski_tang stores a rounded minimum per coordinate, so its gate grows
+    # with n; every other entry keeps one tolerance at every dimension
+    for fn in list_functions():
+        for n in filter(fn.accepts_dimension, (2, 20, 50)):
+            scale = n if fn.name == "styblinski_tang" else 1
+            assert fn.tolerance_at(n) == scale * fn.tolerance, (fn.name, n)
+    assert get_function("styblinski_tang").tolerance_at(50) == 50 * 1e-3
 
 
 # ---------------------------------------------------------------------------
