@@ -18,6 +18,7 @@ from ember.baselines import (
 )
 from ember.errors import ConfigError
 from ember.functions import DomainBox, domain_box, make_objective
+from ember.harness import ExperimentGrid
 from ember.recording import Evaluator, RunOutcome
 
 from oracles import one_point_crossover
@@ -198,6 +199,138 @@ def test_param_defaults_are_not_mutated_by_overrides():
     before = dict(PARAM_DEFAULTS["pso"])
     run_named("pso", max_iter=10, params={"inertia": 0.3})
     assert PARAM_DEFAULTS["pso"] == before
+
+
+def test_param_defaults_are_pinned_in_order():
+    expected = [
+        ("ffo", [("no_improve_limit", 30), ("step_size", 1.0), ("crossover_probability", 0.5),
+                 ("mutation_probability", 0.1), ("initial_temp", 100.0), ("cooling_rate", 0.95),
+                 ("use_additional_conditions", False), ("target_fitness", 1e-05),
+                 ("perturbation_threshold", 50)]),
+        ("pso", [("inertia", 0.7), ("cognitive", 1.0), ("social", 1.0)]),
+        ("sa", [("initial_temp", 100.0), ("cooling_rate", 0.95), ("proposal_scale", 0.1)]),
+        ("ga", [("crossover_rate", 0.1), ("mutation_rate", 0.1), ("tournament_size", 2),
+                ("elitism", 1), ("mutation_scale", 0.1)]),
+        ("hs", [("memory_consideration_rate", 0.9), ("pitch_adjustment_rate", 0.3),
+                ("bandwidth_fraction", 0.01)]),
+    ]
+    actual = [(name, list(params.items())) for name, params in PARAM_DEFAULTS.items()]
+    assert actual == expected
+    # == takes 30 for 30.0 and 0 for False: the types are pinned too
+    assert [[type(v) for _, v in items] for _, items in actual] == [
+        [type(v) for _, v in items] for _, items in expected
+    ]
+
+
+_VALID = {
+    "ffo": "cooling_rate, crossover_probability, initial_temp, mutation_probability, "
+           "no_improve_limit, perturbation_threshold, step_size, target_fitness, "
+           "use_additional_conditions",
+    "pso": "cognitive, inertia, social",
+    "sa": "cooling_rate, initial_temp, proposal_scale",
+    "ga": "crossover_rate, elitism, mutation_rate, mutation_scale, tournament_size",
+    "hs": "bandwidth_fraction, memory_consideration_rate, pitch_adjustment_rate",
+}
+
+# Every kind of rejection resolve_params makes, with its full message, at 5
+# agents: an unknown key (the first in sorted order is named), a value of the
+# wrong kind (checked before any interval), each bounded side of each interval
+# (the first failing parameter in table order is named), an unbounded side
+# through the finiteness check, and GA's elitism cap.
+PARAM_REJECTIONS = [
+    ("ffo", {"bogus": 1}, f"bogus: unknown parameter for optimizer 'ffo'; valid: {_VALID['ffo']}"),
+    ("ffo", {"zeta": 1, "alpha": 2},
+     f"alpha: unknown parameter for optimizer 'ffo'; valid: {_VALID['ffo']}"),
+    ("ffo", {"use_additional_conditions": 1}, "use_additional_conditions must be a boolean, got 1"),
+    ("ffo", {"no_improve_limit": 2.5}, "no_improve_limit must be an integer, got 2.5"),
+    ("ffo", {"no_improve_limit": True}, "no_improve_limit must be an integer, got True"),
+    ("ffo", {"no_improve_limit": math.inf}, "no_improve_limit must be an integer, got inf"),
+    ("ffo", {"step_size": "1"}, "step_size must be a finite number, got '1'"),
+    ("ffo", {"step_size": math.inf}, "step_size must be a finite number, got inf"),
+    ("ffo", {"target_fitness": math.nan}, "target_fitness must be a finite number, got nan"),
+    ("ffo", {"no_improve_limit": 0}, "no_improve_limit must lie in [1, inf), got 0"),
+    ("ffo", {"step_size": 0}, "step_size must lie in (0, inf), got 0"),
+    ("ffo", {"crossover_probability": -0.1}, "crossover_probability must lie in [0, 1], got -0.1"),
+    ("ffo", {"crossover_probability": 1.1}, "crossover_probability must lie in [0, 1], got 1.1"),
+    ("ffo", {"mutation_probability": -0.1}, "mutation_probability must lie in [0, 1], got -0.1"),
+    ("ffo", {"mutation_probability": 1.1}, "mutation_probability must lie in [0, 1], got 1.1"),
+    ("ffo", {"initial_temp": 0}, "initial_temp must lie in (0, inf), got 0"),
+    ("ffo", {"cooling_rate": 0}, "cooling_rate must lie in (0, 1), got 0"),
+    ("ffo", {"cooling_rate": 1.0}, "cooling_rate must lie in (0, 1), got 1.0"),
+    ("ffo", {"perturbation_threshold": -1}, "perturbation_threshold must lie in [0, inf), got -1"),
+    ("ffo", {"cooling_rate": 1.0, "step_size": 0}, "step_size must lie in (0, inf), got 0"),
+    ("ffo", {"step_size": 0, "target_fitness": math.nan},
+     "target_fitness must be a finite number, got nan"),
+    ("pso", {"momentum": 0.5}, f"momentum: unknown parameter for optimizer 'pso'; valid: {_VALID['pso']}"),
+    ("pso", {"inertia": "0.7"}, "inertia must be a finite number, got '0.7'"),
+    ("pso", {"social": True}, "social must be a finite number, got True"),
+    ("pso", {"cognitive": -math.inf}, "cognitive must be a finite number, got -inf"),
+    ("sa", {"bogus": 1}, f"bogus: unknown parameter for optimizer 'sa'; valid: {_VALID['sa']}"),
+    ("sa", {"proposal_scale": True}, "proposal_scale must be a finite number, got True"),
+    ("sa", {"initial_temp": None}, "initial_temp must be a finite number, got None"),
+    ("sa", {"initial_temp": 0}, "initial_temp must lie in (0, inf), got 0"),
+    ("sa", {"cooling_rate": 0}, "cooling_rate must lie in (0, 1), got 0"),
+    ("sa", {"cooling_rate": 1.0}, "cooling_rate must lie in (0, 1), got 1.0"),
+    ("sa", {"proposal_scale": -0.1}, "proposal_scale must lie in [0, inf), got -0.1"),
+    ("ga", {"bogus": 1}, f"bogus: unknown parameter for optimizer 'ga'; valid: {_VALID['ga']}"),
+    ("ga", {"tournament_size": 2.5}, "tournament_size must be an integer, got 2.5"),
+    ("ga", {"elitism": True}, "elitism must be an integer, got True"),
+    ("ga", {"mutation_rate": "x"}, "mutation_rate must be a finite number, got 'x'"),
+    ("ga", {"crossover_rate": -0.1}, "crossover_rate must lie in [0, 1], got -0.1"),
+    ("ga", {"crossover_rate": 1.1}, "crossover_rate must lie in [0, 1], got 1.1"),
+    ("ga", {"mutation_rate": -0.1}, "mutation_rate must lie in [0, 1], got -0.1"),
+    ("ga", {"mutation_rate": 1.1}, "mutation_rate must lie in [0, 1], got 1.1"),
+    ("ga", {"tournament_size": 0}, "tournament_size must lie in [1, inf), got 0"),
+    ("ga", {"elitism": -1}, "elitism must lie in [0, inf), got -1"),
+    ("ga", {"mutation_scale": -0.1}, "mutation_scale must lie in [0, inf), got -0.1"),
+    ("ga", {"elitism": 6}, "elitism must be <= num_agents (5), got 6"),
+    ("hs", {"bogus": 1}, f"bogus: unknown parameter for optimizer 'hs'; valid: {_VALID['hs']}"),
+    ("hs", {"memory_consideration_rate": None},
+     "memory_consideration_rate must be a finite number, got None"),
+    ("hs", {"memory_consideration_rate": -0.1},
+     "memory_consideration_rate must lie in [0, 1], got -0.1"),
+    ("hs", {"memory_consideration_rate": 1.1},
+     "memory_consideration_rate must lie in [0, 1], got 1.1"),
+    ("hs", {"pitch_adjustment_rate": -0.1}, "pitch_adjustment_rate must lie in [0, 1], got -0.1"),
+    ("hs", {"pitch_adjustment_rate": 1.1}, "pitch_adjustment_rate must lie in [0, 1], got 1.1"),
+    ("hs", {"bandwidth_fraction": -0.1}, "bandwidth_fraction must lie in [0, inf), got -0.1"),
+]
+
+# The closed edges of the intervals above, and GA's elitism at the cap: accepted.
+PARAM_EDGES = [
+    ("ffo", {"no_improve_limit": 1, "crossover_probability": 0.0, "mutation_probability": 0.0,
+             "perturbation_threshold": 0}),
+    ("ffo", {"crossover_probability": 1.0, "mutation_probability": 1.0}),
+    ("sa", {"proposal_scale": 0.0}),
+    ("ga", {"crossover_rate": 0.0, "mutation_rate": 0.0, "tournament_size": 1, "elitism": 0,
+            "mutation_scale": 0.0}),
+    ("ga", {"crossover_rate": 1.0, "mutation_rate": 1.0, "elitism": 5}),
+    ("hs", {"memory_consideration_rate": 0.0, "pitch_adjustment_rate": 0.0,
+            "bandwidth_fraction": 0.0}),
+    ("hs", {"memory_consideration_rate": 1.0, "pitch_adjustment_rate": 1.0}),
+]
+
+
+def test_parameter_rejections_are_pinned_at_runner_level():
+    for name, overrides, message in PARAM_REJECTIONS:
+        with pytest.raises(ConfigError) as exc:
+            run_named(name, max_iter=2, num_agents=5, params=overrides)
+        assert str(exc.value) == message, (name, overrides)
+
+
+def test_parameter_rejections_are_pinned_at_grid_level():
+    for name, overrides, message in PARAM_REJECTIONS:
+        with pytest.raises(ConfigError) as exc:
+            ExperimentGrid(algorithms=(name,), functions=("sphere",), agent_counts=(5, 8),
+                           params={name: overrides})
+        assert str(exc.value) == f"params.{name}.{message}", (name, overrides)
+
+
+def test_closed_interval_edges_are_accepted():
+    for name, overrides in PARAM_EDGES:
+        run_named(name, max_iter=2, num_agents=5, params=overrides)
+        ExperimentGrid(algorithms=(name,), functions=("sphere",), agent_counts=(5,),
+                       params={name: overrides})
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,21 @@ def test_fixed_2d_functions_reject_other_dimensions():
             evaluate(name, np.zeros(3))
 
 
+def test_dimension_error_messages_are_pinned():
+    cases = [
+        ("booth", 1, "booth is a fixed two-dimensional function, got dimension 1"),
+        ("booth", 3, "booth is a fixed two-dimensional function, got dimension 3"),
+        ("easom", 1, "easom requires dimension >= 2, got 1"),
+        ("sphere", 0, "sphere requires dimension >= 1, got 0"),
+    ]
+    for name, n, message in cases:
+        for check in (make_objective, domain_box, known_minimum,
+                      lambda name, n: evaluate(name, np.zeros(n))):
+            with pytest.raises(DimensionError) as exc:
+                check(name, n)
+            assert str(exc.value) == message
+
+
 def test_unknown_function_error_names_candidates():
     with pytest.raises(UnknownFunctionError) as exc:
         get_function("sphere_typo")
