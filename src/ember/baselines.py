@@ -66,56 +66,48 @@ class OptimizerSpec:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-PARAM_DEFAULTS: dict[str, dict] = {
+# Each optimizer's parameters as name: (default, interval it must lie in, or
+# None). Besides, every number must be finite, a parameter whose default is an
+# int must be an exact integer, and a boolean is not a number. GA's elitism is
+# also capped by the population.
+_PARAMS: dict[str, dict[str, tuple]] = {
     "ffo": {
-        "no_improve_limit": 30,
-        "step_size": 1.0,
-        "crossover_probability": 0.5,
-        "mutation_probability": 0.1,
-        "initial_temp": 100.0,
-        "cooling_rate": 0.95,
-        "use_additional_conditions": False,
-        "target_fitness": 1e-5,
-        "perturbation_threshold": 50,
+        "no_improve_limit": (30, "[1, inf)"),
+        "step_size": (1.0, "(0, inf)"),
+        "crossover_probability": (0.5, "[0, 1]"),
+        "mutation_probability": (0.1, "[0, 1]"),
+        "initial_temp": (100.0, "(0, inf)"),
+        "cooling_rate": (0.95, "(0, 1)"),
+        "use_additional_conditions": (False, None),
+        "target_fitness": (1e-5, None),
+        "perturbation_threshold": (50, "[0, inf)"),
     },
     "pso": {
-        "inertia": 0.7,
-        "cognitive": 1.0,
-        "social": 1.0,
+        "inertia": (0.7, None),
+        "cognitive": (1.0, None),
+        "social": (1.0, None),
     },
     "sa": {
-        "initial_temp": 100.0,
-        "cooling_rate": 0.95,
-        "proposal_scale": 0.1,  # proposal sigma as a fraction of domain width
+        "initial_temp": (100.0, "(0, inf)"),
+        "cooling_rate": (0.95, "(0, 1)"),
+        "proposal_scale": (0.1, "[0, inf)"),  # proposal sigma as a fraction of domain width
     },
     "ga": {
-        "crossover_rate": 0.1,
-        "mutation_rate": 0.1,
-        "tournament_size": 2,
-        "elitism": 1,
-        "mutation_scale": 0.1,  # mutation sigma as a fraction of domain width
+        "crossover_rate": (0.1, "[0, 1]"),
+        "mutation_rate": (0.1, "[0, 1]"),
+        "tournament_size": (2, "[1, inf)"),
+        "elitism": (1, "[0, inf)"),
+        "mutation_scale": (0.1, "[0, inf)"),  # mutation sigma as a fraction of domain width
     },
     "hs": {
-        "memory_consideration_rate": 0.9,
-        "pitch_adjustment_rate": 0.3,
-        "bandwidth_fraction": 0.01,  # pitch step as a fraction of domain width
+        "memory_consideration_rate": (0.9, "[0, 1]"),
+        "pitch_adjustment_rate": (0.3, "[0, 1]"),
+        "bandwidth_fraction": (0.01, "[0, inf)"),  # pitch step as a fraction of domain width
     },
 }
 
-
-# The interval each parameter must lie in. Besides, every number must be
-# finite, a parameter whose default is an int must be an exact integer, and a
-# boolean is not a number. GA's elitism is also capped by the population.
-_RANGES = {
-    "ffo": {"no_improve_limit": "[1, inf)", "step_size": "(0, inf)",
-            "crossover_probability": "[0, 1]", "mutation_probability": "[0, 1]",
-            "initial_temp": "(0, inf)", "cooling_rate": "(0, 1)",
-            "perturbation_threshold": "[0, inf)"},
-    "sa": {"initial_temp": "(0, inf)", "cooling_rate": "(0, 1)", "proposal_scale": "[0, inf)"},
-    "ga": {"crossover_rate": "[0, 1]", "mutation_rate": "[0, 1]", "tournament_size": "[1, inf)",
-           "elitism": "[0, inf)", "mutation_scale": "[0, inf)"},
-    "hs": {"memory_consideration_rate": "[0, 1]", "pitch_adjustment_rate": "[0, 1]",
-           "bandwidth_fraction": "[0, inf)"},
+PARAM_DEFAULTS: dict[str, dict] = {
+    name: {key: default for key, (default, _) in table.items()} for name, table in _PARAMS.items()
 }
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
@@ -140,20 +132,20 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     Raises :class:`ConfigError` for an unknown key or a value the optimizer
     cannot run with; the message starts with the offending key.
     """
-    defaults = PARAM_DEFAULTS[name]
-    unknown = sorted(set(overrides) - set(defaults))
+    table = _PARAMS[name]
+    unknown = sorted(set(overrides) - set(table))
     if unknown:
         raise ConfigError(
             f"{unknown[0]}: unknown parameter for optimizer {name!r}; "
-            f"valid: {', '.join(sorted(defaults))}"
+            f"valid: {', '.join(sorted(table))}"
         )
     for key, value in overrides.items():
-        kind = type(defaults[key])
-        if kind in _KINDS and not _is_kind(value, kind):
+        kind = type(table[key][0])
+        if not _is_kind(value, kind):
             raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    params = {**defaults, **overrides}
-    for key, interval in _RANGES.get(name, {}).items():
-        if not _in_range(params[key], interval):
+    params = {key: overrides.get(key, default) for key, (default, _) in table.items()}
+    for key, (_, interval) in table.items():
+        if interval and not _in_range(params[key], interval):
             raise ConfigError(f"{key} must lie in {interval}, got {params[key]!r}")
     if name == "ga" and params["elitism"] > num_agents:
         raise ConfigError(

@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import optimizer_names
+from .baselines import OptimizerSpec, optimizer_names
 from .errors import ConfigError, EmberError, EvaluationError
 from .functions import get_function, validate_registry
 from .harness import (
@@ -53,12 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one optimizer on one function")
     run_p.add_argument("--fn", required=True, help="benchmark function name")
-    run_p.add_argument("--dim", type=int, default=2, help="problem dimension (default 2)")
+    run_p.add_argument("--dim", type=int, default=2, help="problem dimension (default %(default)s)")
     run_p.add_argument("--algo", default="ffo", choices=optimizer_names(),
-                       help="optimizer to run (default ffo)")
-    run_p.add_argument("--agents", type=int, default=100, help="population size (default 100)")
-    run_p.add_argument("--iters", type=int, default=500, help="iteration budget (default 500)")
-    run_p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+                       help="optimizer to run (default %(default)s)")
+    run_p.add_argument("--agents", type=int, default=OptimizerSpec.num_agents,
+                       help="population size (default %(default)s)")
+    run_p.add_argument("--iters", type=int, default=OptimizerSpec.max_iter,
+                       help="iteration budget (default %(default)s)")
+    run_p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     run_p.add_argument("--conditions", choices=("on", "off"), default=None,
                        help="FFO early-termination conditions (default off)")
     run_p.add_argument("--out", default=None,

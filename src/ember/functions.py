@@ -10,22 +10,18 @@ each bit for bit the value of that row alone. The registry marks each
 evaluator :func:`~ember.recording.batch_capable`, so the optimizers evaluate
 a whole population in one call.
 
-Two notions of scalability coexist here and have two names in the table:
-
-* The ``n`` column says which dimensions ``evaluate`` accepts: any n
-  (``ANY_N``, functions with an n-dimensional closed form), any n >= 2
-  (``N_FROM_2``, the five expanded two-variable kernels) or n = 2 only
-  (``N_IS_2``, the remaining eight). An entry keeps it as ``dim_class``
-  (``"scalable"`` or ``"fixed-2d"``) and ``min_dimension``.
-* The ``"scalable"`` attribute tag marks the twelve functions conventionally
-  used for high-dimensional comparisons; experiment grids pair dimensions
-  above 2 with tagged functions only. alpine, michalewicz, rastrigin and
-  styblinski_tang accept any n yet do not carry the tag.
+An entry's ``dimensions`` field is the range of dimensions ``evaluate``
+accepts, ``(smallest, largest or None)``: any n (``ANY_N``, functions with an
+n-dimensional closed form), any n >= 2 (``N_FROM_2``, the five expanded
+two-variable kernels) or n = 2 only (``N_IS_2``, the remaining eight).
+"Scalable" names only the attribute tag, which marks the twelve functions
+conventionally used for high-dimensional comparisons; experiment grids pair
+dimensions above 2 with tagged functions only. alpine, michalewicz, rastrigin
+and styblinski_tang accept any n yet do not carry the tag.
 
 The five expanded kernels (easom, eggholder, goldstein_price, schaffer_n2,
 expanded_schaffer_f6) keep their plain two-variable form at n = 2 and use the
 cyclic composition F(x) = sum_i f2(x_i, x_{i+1 mod n}) at n > 2.
-at n > 2.
 """
 
 from __future__ import annotations
@@ -52,10 +48,6 @@ __all__ = [
     "validate_registry",
 ]
 
-FIXED_2D = "fixed-2d"
-SCALABLE = "scalable"
-
-
 @dataclass(frozen=True)
 class DomainBox:
     """A hypercube search region: the same [lower, upper] on every coordinate."""
@@ -80,12 +72,11 @@ class BenchmarkFunction:
     name: str
     evaluator: Callable[[np.ndarray], float]
     domain: tuple[float, float]
-    dim_class: str
+    dimensions: tuple[int, int | None]
     attributes: frozenset[str]
     minimum: float | None
     minimum_rule: str
     minimizer: float | tuple[tuple[float, float], ...]
-    min_dimension: int = 1
     tolerance: float = 1e-3
 
     def min_value(self, n: int) -> float | None:
@@ -106,9 +97,8 @@ class BenchmarkFunction:
         return self.tolerance * (n if self.minimum_rule == PER_COORDINATE else 1)
 
     def accepts_dimension(self, n: int) -> bool:
-        if self.dim_class == FIXED_2D:
-            return n == 2
-        return n >= self.min_dimension
+        smallest, largest = self.dimensions
+        return smallest <= n and (largest is None or n <= largest)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +350,10 @@ def zakharov(x: np.ndarray):
 #
 # One row per function:
 #   name, evaluator, domain: the same [lower, upper] on every coordinate;
-#   n: the dimensions the function accepts, as (dim_class, min_dimension):
+#   dimensions: the dimensions the function accepts, as (smallest, largest or None):
 #     ANY_N     any n >= 1;
 #     N_FROM_2  any n >= 2: a two-variable kernel, expanded cyclically above 2;
-#     N_IS_2    n = 2 only (min_dimension is not read);
+#     N_IS_2    n = 2 only;
 #   minimum and its rule, giving the minimum value at dimension n:
 #     CONSTANT        the stored value at every n (None: no published value);
 #     AT_2            the stored value at n = 2, None above (no published value);
@@ -377,9 +367,9 @@ def zakharov(x: np.ndarray):
 #   tags: the attribute tags. "scalable" among them marks the functions that
 #     experiment grids run above d = 2, which is narrower than accepting n > 2.
 
-ANY_N = (SCALABLE, 1)
-N_FROM_2 = (SCALABLE, 2)
-N_IS_2 = (FIXED_2D, 1)
+ANY_N = (1, None)
+N_FROM_2 = (2, None)
+N_IS_2 = (2, 2)
 
 CONSTANT = "constant"
 AT_2 = "at-2"
@@ -442,11 +432,10 @@ _TABLE = [
 
 _REGISTRY: dict[str, BenchmarkFunction] = {
     name: BenchmarkFunction(
-        name, batch_capable(evaluator), domain, dim_class, frozenset(tags.split()),
-        minimum, rule, minimizer, min_dimension, tolerance,
+        name, batch_capable(evaluator), domain, dimensions, frozenset(tags.split()),
+        minimum, rule, minimizer, tolerance,
     )
-    for (name, evaluator, domain, (dim_class, min_dimension),
-         minimum, rule, minimizer, tolerance, tags) in _TABLE
+    for (name, evaluator, domain, dimensions, minimum, rule, minimizer, tolerance, tags) in _TABLE
 }
 
 
@@ -479,9 +468,9 @@ def list_functions(tags=None) -> list[BenchmarkFunction]:
 def _check_dimension(fn: BenchmarkFunction, n: int) -> None:
     if fn.accepts_dimension(n):
         return
-    if fn.dim_class == FIXED_2D:
+    if fn.dimensions == N_IS_2:
         raise DimensionError(f"{fn.name} is a fixed two-dimensional function, got dimension {n}")
-    raise DimensionError(f"{fn.name} requires dimension >= {fn.min_dimension}, got {n}")
+    raise DimensionError(f"{fn.name} requires dimension >= {fn.dimensions[0]}, got {n}")
 
 
 def evaluate(name: str, x) -> float:

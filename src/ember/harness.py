@@ -65,20 +65,15 @@ __all__ = [
     "summarize",
 ]
 
-RESULT_COLUMNS = (
-    "algorithm",
-    "function",
-    "dimension",
-    "agents",
-    "max_iter",
-    "seed",
-    "best_fitness",
-    "execution_time_s",
-    "total_distance",
-    "distance_per_unit_time",
-    "iterations_run",
-    "status",
+# The results.csv columns in order, each with the RunRecord field it holds.
+_RESULT_FIELDS = (
+    ("algorithm", "algorithm"), ("function", "function"), ("dimension", "dimension"),
+    ("agents", "agents"), ("max_iter", "max_iter"), ("seed", "seed"),
+    ("best_fitness", "best_fitness"), ("execution_time_s", "execution_time"),
+    ("total_distance", "total_distance"), ("distance_per_unit_time", "distance_per_unit_time"),
+    ("iterations_run", "iterations_run"), ("status", "status"),
 )
+RESULT_COLUMNS = tuple(column for column, _ in _RESULT_FIELDS)
 
 CATEGORIES = ("longest_time", "shortest_time", "most_accurate", "least_accurate")
 
@@ -131,20 +126,7 @@ class RunRecord:
                 f"__i{self.max_iter}__s{self.seed}")
 
     def csv_row(self) -> list[str]:
-        values = (
-            self.algorithm,
-            self.function,
-            self.dimension,
-            self.agents,
-            self.max_iter,
-            self.seed,
-            self.best_fitness,
-            self.execution_time,
-            self.total_distance,
-            self.distance_per_unit_time,
-            self.iterations_run,
-            self.status,
-        )
+        values = (getattr(self, name) for _, name in _RESULT_FIELDS)
         return ["" if v is None else str(v) for v in values]
 
 
@@ -202,8 +184,8 @@ class ExperimentGrid:
         default_factory=lambda: tuple(f.name for f in list_functions())
     )
     dimensions: tuple[int, ...] = (2,)
-    agent_counts: tuple[int, ...] = (100,)
-    iteration_counts: tuple[int, ...] = (500,)
+    agent_counts: tuple[int, ...] = (OptimizerSpec.num_agents,)
+    iteration_counts: tuple[int, ...] = (OptimizerSpec.max_iter,)
     seeds: tuple[int, ...] = (0,)
     master_seed: int = 0
     params: dict = field(default_factory=dict)
@@ -396,11 +378,11 @@ def export_history(history, path) -> Path:
 # aggregation
 
 
+# Each of these RunRecord fields gets its mean, std, min and max in summary.csv.
+_SUMMARIZED = ("best_fitness", "execution_time", "total_distance")
 SUMMARY_COLUMNS = (
     "algorithm",
-    "best_fitness_mean", "best_fitness_std", "best_fitness_min", "best_fitness_max",
-    "execution_time_mean", "execution_time_std", "execution_time_min", "execution_time_max",
-    "total_distance_mean", "total_distance_std", "total_distance_min", "total_distance_max",
+    *(f"{metric}_{stat}" for metric in _SUMMARIZED for stat in ("mean", "std", "min", "max")),
     "distance_per_unit_time",
 )
 
@@ -421,7 +403,7 @@ def summarize(records) -> list[dict]:
     rows = []
     for algorithm in sorted(groups):
         row = {"algorithm": algorithm}
-        for metric in ("best_fitness", "execution_time", "total_distance"):
+        for metric in _SUMMARIZED:
             values = [getattr(r, metric) for r in groups[algorithm]]
             n = len(values)
             mean = sum(values) / n

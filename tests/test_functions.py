@@ -61,9 +61,9 @@ def _registry_dump() -> str:
     lines = []
     for fn in list_functions():
         lines.append(
-            f"{fn.name} domain={fn.domain!r} dim_class={fn.dim_class} "
-            f"min_dimension={fn.min_dimension} attributes={sorted(fn.attributes)} "
-            f"tolerance={fn.tolerance!r} batch={getattr(fn.evaluator, 'batch_capable', False)}"
+            f"{fn.name} domain={fn.domain!r} dimensions={fn.dimensions} "
+            f"attributes={sorted(fn.attributes)} tolerance={fn.tolerance!r} "
+            f"batch={getattr(fn.evaluator, 'batch_capable', False)}"
         )
         for d in (1, 2, 3, 20, 50):
             if not fn.accepts_dimension(d):
@@ -76,7 +76,7 @@ def _registry_dump() -> str:
 
 def test_registry_entries_are_pinned():
     digest = hashlib.sha256(_registry_dump().encode()).hexdigest()
-    assert digest == "f646b667957af44524283bee9e7d271d81bb8af1a2333df6041f2a1ce77b3ec9"
+    assert digest == "03de68d070768678842ac79fa98d35a299aebd18498e943552871e0b695d6e87"
 
 
 def test_scalable_tag_matches_experiment_set():
@@ -87,8 +87,8 @@ def test_scalable_tag_matches_experiment_set():
 def test_fixed_2d_functions_reject_other_dimensions():
     for name in FIXED_2D:
         fn = get_function(name)
-        assert fn.dim_class == "fixed-2d"
         assert fn.accepts_dimension(2)
+        assert not fn.accepts_dimension(1)
         assert not fn.accepts_dimension(3)
         with pytest.raises(DimensionError):
             evaluate(name, np.zeros(3))
@@ -261,7 +261,9 @@ def test_two_dimensional_native_forms_have_min_dimension_two():
     for name in ("easom", "eggholder", "goldstein_price", "schaffer_n2",
                  "expanded_schaffer_f6"):
         fn = get_function(name)
-        assert fn.min_dimension == 2
+        assert not fn.accepts_dimension(1)
+        assert fn.accepts_dimension(2)
+        assert fn.accepts_dimension(3)
         with pytest.raises(DimensionError):
             evaluate(name, [0.0])
 
@@ -334,7 +336,7 @@ def test_finite_over_random_domain_samples():
     rng = np.random.default_rng(23)
     for fn in list_functions():
         lower, upper = fn.domain
-        n = 2 if fn.dim_class == "fixed-2d" else 7
+        n = 7 if fn.accepts_dimension(7) else 2
         points = rng.uniform(lower, upper, size=(200, n))
         for p in points:
             value = fn.evaluator(p)
