@@ -132,19 +132,19 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     Raises :class:`ConfigError` for an unknown key or a value the optimizer
     cannot run with; the message starts with the offending key.
     """
-    table = _PARAMS[name]
-    unknown = sorted(set(overrides) - set(table))
+    defaults = PARAM_DEFAULTS[name]
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(
             f"{unknown[0]}: unknown parameter for optimizer {name!r}; "
-            f"valid: {', '.join(sorted(table))}"
+            f"valid: {', '.join(sorted(defaults))}"
         )
     for key, value in overrides.items():
-        kind = type(table[key][0])
+        kind = type(defaults[key])
         if not _is_kind(value, kind):
             raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    params = {key: overrides.get(key, default) for key, (default, _) in table.items()}
-    for key, (_, interval) in table.items():
+    params = {**defaults, **overrides}
+    for key, (_, interval) in _PARAMS[name].items():
         if interval and not _in_range(params[key], interval):
             raise ConfigError(f"{key} must lie in {interval}, got {params[key]!r}")
     if name == "ga" and params["elitism"] > num_agents:
