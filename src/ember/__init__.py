@@ -11,8 +11,8 @@ Three layers:
   summaries and rankings (:func:`run_grid`, :func:`summarize`,
   :func:`rank_top3`).
 
-Everything is deterministic given a seed; the docstrings of the runners in
-:mod:`ember.baselines` state the exact draw-order contracts.
+Everything is deterministic given a seed; the docstrings of the step
+generators in :mod:`ember.baselines` state the exact draw-order contracts.
 """
 
 from .baselines import (

@@ -1,17 +1,18 @@
 """Reference optimizers behind one dispatch interface.
 
 Five step generators, FFO and four classic algorithms (particle swarm,
-simulated annealing, a real-coded genetic algorithm, harmony search), all
-runnable through :func:`run_optimizer` with an :class:`OptimizerSpec`. Every
-optimizer:
+simulated annealing, a real-coded genetic algorithm, harmony search), and one
+way to run them: :func:`run_optimizer` with an :class:`OptimizerSpec`. It looks
+the step generator up by the spec's name, resolves the parameters and hands
+both to :func:`~ember.recording.drive`. The driver gives the step generator
+the run's one random generator, seeded by the spec, and an
+:class:`~ember.recording.Evaluator` for its objective, times it, keeps its
+history and path length, and returns a :class:`~ember.recording.RunOutcome`.
+Every step generator ``(spec, params, rng, evaluate, domain)`` draws all its
+randomness from ``rng`` and keeps every reported position inside the domain
+box.
 
-* draws all randomness from one generator seeded by the spec,
-* keeps every reported position inside the domain box,
-* is a step generator run by :func:`~ember.recording.driven`, which hands it
-  an :class:`~ember.recording.Evaluator` for its objective, times it, keeps
-  its history and path length, and returns a :class:`~ember.recording.RunOutcome`.
-
-:func:`resolve_params` checks parameter values for the runners and the grid,
+:func:`resolve_params` checks parameter values for runs and for the grid,
 and :func:`acceptance_probability` is the annealing rule of SA and of FFO's
 local search. FFO's and GA's docstrings state the order of their draws.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, driven, initial_population
+from .recording import RunOutcome, drive, initial_population
 
 __all__ = [
     "OptimizerSpec",
@@ -38,12 +39,7 @@ __all__ = [
     "acceptance_probability",
     "optimizer_names",
     "resolve_params",
-    "run_ffo",
-    "run_ga",
-    "run_hs",
     "run_optimizer",
-    "run_pso",
-    "run_sa",
 ]
 
 
@@ -170,8 +166,7 @@ def acceptance_probability(delta_energy: float, temperature: float) -> float:
     return math.exp(ratio)
 
 
-@driven
-def run_ffo(spec, evaluate, domain):
+def ffo_steps(spec, params, rng, evaluate, domain):
     """FFO: evolutionary recombination hybridized with an annealing local search.
 
     Each pass first values the whole population. A strictly better population
@@ -209,14 +204,12 @@ def run_ffo(spec, evaluate, domain):
     ``use_additional_conditions`` the loop also stops once the counter exceeds
     no_improve_limit or the best value falls below target_fitness.
     """
-    params = resolve_params("ffo", spec.params, spec.num_agents)
     if spec.max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {spec.max_iter}")
     crossover_probability = params["crossover_probability"]
     mutation_probability = params["mutation_probability"]
     threshold = params["perturbation_threshold"]
     conditions = params["use_additional_conditions"]
-    rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     agents, _, best_agent, best_fitness = initial_population(
         rng, domain.lower, domain.upper, (n, d), evaluate
@@ -278,17 +271,14 @@ def run_ffo(spec, evaluate, domain):
     return iteration
 
 
-@driven
-def run_pso(spec, evaluate, domain):
+def pso_steps(spec, params, rng, evaluate, domain):
     """Global-best particle swarm.
 
     Velocities start at zero and blend inertia with per-coordinate cognitive
     and social pulls toward the personal and global bests. Positions are
     clipped to the domain each move.
     """
-    params = resolve_params("pso", spec.params, spec.num_agents)
     w, c1, c2 = params["inertia"], params["cognitive"], params["social"]
-    rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     positions, fitness, best_agent, best_fitness = initial_population(
         rng, domain.lower, domain.upper, (n, d), evaluate
@@ -318,16 +308,13 @@ def run_pso(spec, evaluate, domain):
     return spec.max_iter
 
 
-@driven
-def run_sa(spec, evaluate, domain):
+def sa_steps(spec, params, rng, evaluate, domain):
     """Single-solution simulated annealing with geometric cooling.
 
     Gaussian proposals (sigma = proposal_scale * domain width) are clipped to
     the domain; downhill moves are always taken, uphill ones with probability
     exp(-dE/T). The temperature cools by the same factor every iteration.
     """
-    params = resolve_params("sa", spec.params, spec.num_agents)
-    rng = np.random.default_rng(spec.seed)
     d = domain.dimension
     sigma = params["proposal_scale"] * (domain.upper - domain.lower)
     temperature = params["initial_temp"]
@@ -351,8 +338,7 @@ def run_sa(spec, evaluate, domain):
     return spec.max_iter
 
 
-@driven
-def run_ga(spec, evaluate, domain):
+def ga_steps(spec, params, rng, evaluate, domain):
     """Generational real-coded genetic algorithm.
 
     Tournament selection, one-point crossover, per-gene Gaussian mutation
@@ -370,10 +356,8 @@ def run_ga(spec, evaluate, domain):
     number of children the last one drawn is dropped. Elites (the fittest,
     by stable sort) come first in the next population.
     """
-    params = resolve_params("ga", spec.params, spec.num_agents)
     tournament = int(params["tournament_size"])
     elitism = int(params["elitism"])
-    rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
     population, fitness, best_agent, best_fitness = initial_population(
@@ -409,8 +393,7 @@ def run_ga(spec, evaluate, domain):
     return spec.max_iter
 
 
-@driven
-def run_hs(spec, evaluate, domain):
+def hs_steps(spec, params, rng, evaluate, domain):
     """Harmony search over a fixed-size memory of candidate solutions.
 
     Each iteration improvises one new harmony: every coordinate is drawn from
@@ -419,10 +402,8 @@ def run_hs(spec, evaluate, domain):
     sampled uniformly from the domain. The new harmony replaces the worst
     memory entry when it improves on it.
     """
-    params = resolve_params("hs", spec.params, spec.num_agents)
     hmcr = params["memory_consideration_rate"]
     par = params["pitch_adjustment_rate"]
-    rng = np.random.default_rng(spec.seed)
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
     memory, fitness, best_agent, best_fitness = initial_population(
@@ -452,11 +433,11 @@ def run_hs(spec, evaluate, domain):
 
 
 _OPTIMIZERS: dict[str, object] = {
-    "ffo": run_ffo,
-    "pso": run_pso,
-    "sa": run_sa,
-    "ga": run_ga,
-    "hs": run_hs,
+    "ffo": ffo_steps,
+    "pso": pso_steps,
+    "sa": sa_steps,
+    "ga": ga_steps,
+    "hs": hs_steps,
 }
 
 
@@ -465,11 +446,13 @@ def optimizer_names() -> list[str]:
 
 
 def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox) -> RunOutcome:
-    """Dispatch a run to the optimizer named by the spec."""
+    """Run the optimizer named by the spec: resolve its parameters, then
+    :func:`~ember.recording.drive` its step generator."""
     try:
-        runner = _OPTIMIZERS[spec.name]
+        steps = _OPTIMIZERS[spec.name]
     except KeyError:
         raise ConfigError(
             f"unknown optimizer {spec.name!r}; available: {', '.join(optimizer_names())}"
         ) from None
-    return runner(spec, objective, domain)
+    params = resolve_params(spec.name, spec.params, spec.num_agents)
+    return drive(steps, spec, params, objective, domain)

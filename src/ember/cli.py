@@ -174,8 +174,9 @@ def cmd_validate(args) -> int:
         if row.status == "skipped":
             print(f"{row.name:<{width}} dim={row.dimension:<3} skipped ({row.detail})")
             continue
+        detail = f" ({row.detail})" if row.detail else ""
         print(f"{row.name:<{width}} dim={row.dimension:<3} residual={row.residual:.3e} "
-              f"tol={row.tolerance:.3e} {row.status}")
+              f"tol={row.tolerance:.3e} {row.status}{detail}")
         if not row.ok:
             failed += 1
     checked = sum(1 for r in rows if r.status != "skipped")

@@ -77,7 +77,7 @@ class BenchmarkFunction:
     minimum: float | None
     minimum_rule: str
     minimizer: float | tuple[tuple[float, float], ...]
-    tolerance: float = 1e-3
+    tolerance: float
 
     def min_value(self, n: int) -> float | None:
         """The published minimum value at dimension n, None where none is published."""
@@ -563,6 +563,6 @@ def validate_registry(functions=None, tolerance: float | None = None) -> list[Va
                 if residual > worst:
                     worst, worst_point = residual, m
             status = "ok" if worst <= tol else "fail"
-            detail = "" if status == "ok" else f"residual {worst:.3e} at {np.asarray(worst_point)}"
+            detail = "" if status == "ok" else f"residual {worst:.3e} at {worst_point.tolist()}"
             rows.append(ValidationRow(name, n, worst, tol, status, detail))
     return rows

@@ -1,10 +1,10 @@
-"""The run driver (:func:`driven`), the one routine that turns visited positions
-into ``total_distance``; run outcomes; and the :class:`Evaluator`, each run's one
-path to its objective, which checks, batches and counts every evaluation."""
+"""The run driver (:func:`drive`), which seeds each run's one generator and is
+the one routine that turns visited positions into ``total_distance``; run
+outcomes; and the :class:`Evaluator`, each run's one path to its objective,
+which checks, batches and counts every evaluation."""
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -96,12 +96,14 @@ class RunOutcome:
     evaluations: int = 0
 
 
-def driven(steps):
-    """Turn an optimizer's step generator into a runner returning a :class:`RunOutcome`.
+def drive(steps, spec, params, objective, domain) -> RunOutcome:
+    """Run the step generator ``steps`` for ``spec`` with the resolved ``params``
+    and return its :class:`RunOutcome`.
 
-    The runner ``(spec, objective, domain)`` runs ``steps(spec, evaluate, domain)``
-    with ``evaluate`` an :class:`Evaluator` of ``objective``, whose count is
-    ``RunOutcome.evaluations``. ``steps`` yields ``(None, best_agent, best_fitness)``
+    ``steps(spec, params, rng, evaluate, domain)`` draws all its randomness from
+    ``rng``, the run's one generator, seeded with ``spec.seed``, and values points
+    through ``evaluate``, an :class:`Evaluator` of ``objective`` whose count is
+    ``RunOutcome.evaluations``. It yields ``(None, best_agent, best_fitness)``
     after initialization, then ``(moved, best_agent, best_fitness)`` after each
     iteration, and returns its iteration counter. ``moved`` is the point or the 2-D block of
     rows the iteration visited, in order. The one timer covers initialization
@@ -111,31 +113,26 @@ def driven(steps):
     at a time in that order, so the total is the same however the rows are
     grouped into yields.
     """
-
-    @functools.wraps(steps)
-    def run(spec, objective, domain) -> RunOutcome:
-        start = time.perf_counter()
-        evaluate = Evaluator(objective)
-        run_steps = steps(spec, evaluate, domain)
-        _, best_agent, best_fitness = next(run_steps)
-        last = np.empty((0, np.size(best_agent)))
-        total = 0.0
-        history: list[float] = []
-        while True:
-            try:
-                moved, best_agent, best_fitness = next(run_steps)
-            except StopIteration as stop:
-                iterations_run = stop.value
-                break
-            # the concatenation also copies, so a step may reuse its arrays
-            path = np.concatenate((last, moved.reshape(-1, moved.shape[-1])))
-            steps_taken = path[1:] - path[:-1]
-            for length in np.sqrt(np.vecdot(steps_taken, steps_taken)).tolist():
-                total += length
-            last = path[-1:]
-            history.append(best_fitness)
-        elapsed = time.perf_counter() - start
-        return RunOutcome(best_agent, best_fitness, history, elapsed, total, iterations_run,
-                          evaluate.count)
-
-    return run
+    start = time.perf_counter()
+    evaluate = Evaluator(objective)
+    run_steps = steps(spec, params, np.random.default_rng(spec.seed), evaluate, domain)
+    _, best_agent, best_fitness = next(run_steps)
+    last = np.empty((0, np.size(best_agent)))
+    total = 0.0
+    history: list[float] = []
+    while True:
+        try:
+            moved, best_agent, best_fitness = next(run_steps)
+        except StopIteration as stop:
+            iterations_run = stop.value
+            break
+        # the concatenation also copies, so a step may reuse its arrays
+        path = np.concatenate((last, moved.reshape(-1, moved.shape[-1])))
+        steps_taken = path[1:] - path[:-1]
+        for length in np.sqrt(np.vecdot(steps_taken, steps_taken)).tolist():
+            total += length
+        last = path[-1:]
+        history.append(best_fitness)
+    elapsed = time.perf_counter() - start
+    return RunOutcome(best_agent, best_fitness, history, elapsed, total, iterations_run,
+                      evaluate.count)

@@ -12,7 +12,7 @@ import numpy as np
 def path_length(positions) -> float:
     """Total Euclidean length of a stored position sequence, re-summed pair by
     pair in order: the value the streaming ``total_distance`` of
-    :func:`ember.recording.driven` must reach."""
+    :func:`ember.recording.drive` must reach."""
     total = 0.0
     for prev, here in zip(positions, positions[1:]):
         total += float(np.linalg.norm(here - prev))
@@ -27,7 +27,7 @@ def one_point_crossover(parent1, parent2, point):
 
 
 def ffo_passes(objective, lower, upper, num_agents, dimension, max_iter, seed, params):
-    """FFO's update passes as the draw order in :func:`ember.baselines.run_ffo`'s
+    """FFO's update passes as the draw order in :func:`ember.baselines.ffo_steps`'s
     docstring states them, one agent at a time, with the budget as the only stop.
 
     Yields, per pass, the rows as each agent left its own update, the best value

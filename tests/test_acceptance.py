@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ember.baselines import OptimizerSpec, run_ffo, run_optimizer
+from ember.baselines import OptimizerSpec, ffo_steps, resolve_params, run_optimizer
 from ember.functions import DomainBox, domain_box, evaluate, get_function, make_objective
 from ember.harness import (
     ExperimentGrid,
@@ -31,7 +31,9 @@ from oracles import one_point_crossover, path_length
 def _ffo_steps(objective, dimension, num_agents, max_iter, seed, **overrides):
     """FFO's raw step generator: the moved rows and best values of every pass."""
     spec = OptimizerSpec("ffo", overrides, max_iter, num_agents, seed)
-    return run_ffo.__wrapped__(spec, Evaluator(objective), DomainBox(-5.12, 5.12, dimension))
+    return ffo_steps(spec, resolve_params("ffo", overrides, num_agents),
+                     np.random.default_rng(seed), Evaluator(objective),
+                     DomainBox(-5.12, 5.12, dimension))
 
 
 def _ffo_run(objective, dimension, num_agents, max_iter, seed, **overrides):

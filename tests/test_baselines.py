@@ -1,5 +1,6 @@
 """Reference optimizer tests: dispatch, convergence sanity, budget handling."""
 
+import itertools
 import math
 import statistics
 import time
@@ -156,6 +157,34 @@ def test_same_seed_same_outcome(name):
     assert a.total_distance == b.total_distance
     c = run_named(name, seed=10, max_iter=50)
     assert c.fitness_history != a.fitness_history
+
+
+def _yields(name, function, seed, budget, count=None):
+    """What optimizer ``name``'s raw step generator yields at ``budget`` on
+    ``function`` at d = 3: per yield, the moved rows' bytes, the best value and
+    the evaluation count so far. Only the first ``count`` yields when given."""
+    spec = OptimizerSpec(name, {}, budget, 6, seed)
+    evaluate = Evaluator(make_objective(function, 3))
+    steps = baselines._OPTIMIZERS[name](spec, baselines.resolve_params(name, {}, 6),
+                                        np.random.default_rng(seed), evaluate,
+                                        domain_box(function, 3))
+    return [(None if moved is None else moved.tobytes(), best, evaluate.count)
+            for moved, _, best in itertools.islice(steps, count)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("function", ["rastrigin", "rosenbrock"])
+@pytest.mark.parametrize("name", ["ffo", "pso", "sa", "ga", "hs"])
+def test_a_larger_budget_replays_the_smaller_run_first(name, function, seed):
+    # the budget only decides when a run stops: a run at budget 2K begins
+    # with every yield of the run at budget K
+    budget = 8
+    short = _yields(name, function, seed, budget)
+    assert len(short) == 1 + (budget - 1 if name == "ffo" else budget)
+    assert _yields(name, function, seed, 2 * budget, len(short)) == short
+    runs = [run_optimizer(OptimizerSpec(name, {}, k, 6, seed), make_objective(function, 3),
+                          domain_box(function, 3)) for k in (budget, 2 * budget)]
+    assert runs[1].fitness_history[: len(short) - 1] == runs[0].fitness_history
 
 
 @pytest.mark.parametrize("name", ["ffo", "pso", "sa", "ga", "hs"])
@@ -346,7 +375,7 @@ def test_closed_interval_edges_are_accepted():
     between=st.lists(st.sampled_from(["none", "random", "normal", "uniforms"]), max_size=12),
 )
 def test_scalar_integer_draws_replay_a_sized_draw(seed, n, tournament, between):
-    # run_ga's tournament takes `tournament` scalar integers(n) draws; with
+    # ga_steps's tournament takes `tournament` scalar integers(n) draws; with
     # PCG64 both forms read the same 32-bit halves, also when other draws
     # come between tournaments
     sized = np.random.default_rng(seed)
@@ -404,7 +433,7 @@ def _reference_ga(spec, objective, domain):
 
 def _per_pair_ga(spec, objective, domain):
     """GA's populations after each iteration, by a plain loop over pairs that
-    reads the arrays drawn in run_ga's documented order."""
+    reads the arrays drawn in ga_steps's documented order."""
     params = baselines.resolve_params("ga", spec.params, spec.num_agents)
     tournament, elitism = int(params["tournament_size"]), int(params["elitism"])
     rng = np.random.default_rng(spec.seed)
@@ -468,7 +497,9 @@ def test_ga_tournament_ties_go_to_the_earlier_contender():
 
 
 def _assert_replays(spec, objective, domain):
-    steps = baselines.run_ga.__wrapped__(spec, Evaluator(objective), domain)
+    params = baselines.resolve_params("ga", spec.params, spec.num_agents)
+    steps = baselines.ga_steps(spec, params, np.random.default_rng(spec.seed),
+                               Evaluator(objective), domain)
     next(steps)
     for reference in _per_pair_ga(spec, objective, domain)[1:]:
         population, _, _ = next(steps)

@@ -1,4 +1,4 @@
-"""Command-line interface tests, driven through main() with explicit argv."""
+"""Command-line interface tests, run through main() with explicit argv."""
 
 import csv
 import dataclasses
@@ -555,6 +555,13 @@ def test_validate_reports_corrupt_registry(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["validate", "--fn", "easom"])
     assert code == 1
     assert "fail" in out
+    # each failing row names its residual and the minimizer it was found at,
+    # on the row's one line
+    point = good.minimizers(2)[0].tolist()
+    lines = out.splitlines()
+    assert lines[0] == ("easom dim=2   residual=2.000e+00 tol=1.000e-04 fail "
+                        f"(residual 2.000e+00 at {point})")
+    assert len(lines) == 4 and all(" fail (residual " in line for line in lines[:3])
 
 
 # ---------------------------------------------------------------------------

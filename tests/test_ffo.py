@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from ember import baselines
 from ember.baselines import (
     OptimizerSpec,
     acceptance_probability,
     resolve_params,
-    run_ffo,
     run_optimizer,
 )
 from ember.errors import ConfigError, EvaluationError
@@ -32,9 +32,11 @@ def constant(x):
 
 def ffo_steps(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20,
               seed=3, **overrides):
-    """``run_ffo``'s raw step generator, valuing points through its own Evaluator."""
+    """FFO's raw step generator, valuing points through its own Evaluator."""
     spec = OptimizerSpec("ffo", overrides, max_iter, num_agents, seed)
-    return run_ffo.__wrapped__(spec, Evaluator(objective), DomainBox(*bounds, dimension))
+    return baselines.ffo_steps(spec, resolve_params("ffo", overrides, num_agents),
+                               np.random.default_rng(seed), Evaluator(objective),
+                               DomainBox(*bounds, dimension))
 
 
 def ffo_run(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20, seed=3,
@@ -124,7 +126,7 @@ def test_perturbation_intensity_grows_past_threshold():
 ])
 def test_config_validation_rejects(overrides):
     # each setting FFO cannot run with is refused on the way in, by
-    # OptimizerSpec, DomainBox, resolve_params or run_ffo
+    # OptimizerSpec, DomainBox, resolve_params or ffo_steps
     with pytest.raises(ConfigError):
         ffo_run(**overrides)
 

@@ -411,11 +411,20 @@ def test_master_seed_changes_results():
     assert any(a.best_fitness != b.best_fitness for a, b in pairs)
 
 
+def _fake_optimizer(monkeypatch, name, run):
+    """Make ``name`` a known optimizer whose cells ``run(spec, objective, domain)``
+    runs in place of ``run_optimizer``; every other optimizer runs as before."""
+    run_optimizer = harness.run_optimizer
+    monkeypatch.setitem(baselines._OPTIMIZERS, name, run)
+    monkeypatch.setattr(harness, "run_optimizer", lambda spec, objective, domain: (
+        run if spec.name == name else run_optimizer)(spec, objective, domain))
+
+
 def test_failing_cell_is_recorded_and_grid_continues(monkeypatch):
     def unstable(spec, objective, domain):
         raise RuntimeError("deliberate failure")
 
-    monkeypatch.setitem(baselines._OPTIMIZERS, "unstable", unstable)
+    _fake_optimizer(monkeypatch, "unstable", unstable)
     grid = ExperimentGrid(algorithms=("unstable", "pso"), functions=("sphere",),
                           dimensions=(2,), agent_counts=(5,),
                           iteration_counts=(10,), seeds=(0,))
@@ -430,7 +439,7 @@ def test_undefined_distance_rate_fails_only_its_cell(monkeypatch):
     def instant(spec, objective, domain):
         return RunOutcome(np.zeros(domain.dimension), 0.0, [0.0], 0.0, 1.0, 1)
 
-    monkeypatch.setitem(baselines._OPTIMIZERS, "instant", instant)
+    _fake_optimizer(monkeypatch, "instant", instant)
     grid = ExperimentGrid(algorithms=("instant", "pso"), functions=("sphere",),
                           dimensions=(2,), agent_counts=(5,),
                           iteration_counts=(10,), seeds=(0,))
@@ -455,7 +464,7 @@ def test_dead_worker_becomes_error_records_and_grid_completes(tmp_path, capsys, 
         "agent_counts": [5], "iteration_counts": [10], "seeds": [0, 1], "jobs": 2,
     }))
     out = tmp_path / "out"
-    monkeypatch.setitem(baselines._OPTIMIZERS, "crash", crash)
+    _fake_optimizer(monkeypatch, "crash", crash)
     code = cli_main(["grid", str(config), "--out", str(out)])
     # the pool breaks with the first crash; pso cells still queued fail with it
     assert code in (0, 1), capsys.readouterr().err

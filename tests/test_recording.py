@@ -7,7 +7,7 @@ import pytest
 from ember import OptimizerSpec, domain_box, run_optimizer
 from ember.errors import EvaluationError
 from ember.functions import list_functions, make_objective
-from ember.recording import Evaluator, batch_capable, driven
+from ember.recording import Evaluator, batch_capable, drive
 
 from oracles import path_length
 
@@ -135,16 +135,15 @@ def test_run_evaluation_counts(algorithm, function, dimension):
 
 
 # ---------------------------------------------------------------------------
-# total_distance through driven
+# total_distance through drive
 
 
 def _total_distance(groups, d, overwrite):
-    """Run the yielded ``groups`` of rows through :func:`driven`; with
+    """Run the yielded ``groups`` of rows through :func:`drive`; with
     ``overwrite`` each group is yielded from a buffer that is filled with NaN
     right after the yield."""
 
-    @driven
-    def steps(spec, evaluate, domain):
+    def steps(spec, params, rng, evaluate, domain):
         yield None, np.zeros(d), 0.0
         for group in groups:
             moved = np.array(group) if overwrite else group
@@ -153,7 +152,7 @@ def _total_distance(groups, d, overwrite):
                 moved[...] = np.nan
         return len(groups)
 
-    return steps(None, None, None).total_distance
+    return drive(steps, OptimizerSpec("path"), {}, None, None).total_distance
 
 
 @pytest.mark.parametrize("overwrite", [True, False])
