@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, InputError, UnknownFunctionError
+from .errors import ConfigError, DimensionError, InputError, UnknownFunctionError
 from .recording import batch_capable
 
 __all__ = [
@@ -538,8 +538,11 @@ def validate_registry(functions=None, tolerance: float | None = None) -> list[Va
     evaluates the function at every stored minimizer and reports the worst
     absolute deviation from the stored minimum value. Functions without stored
     minimizers at a dimension produce a "skipped" row. Passing ``tolerance``
-    overrides each function's own gate uniformly.
+    overrides each function's own gate uniformly; it must be a finite number
+    >= 0, or :class:`ConfigError` is raised before any row is checked.
     """
+    if tolerance is not None and not 0 <= tolerance < math.inf:  # NaN fails the comparison
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {tolerance}")
     if functions is None:
         functions = _REGISTRY
     rows: list[ValidationRow] = []

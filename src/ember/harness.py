@@ -26,6 +26,12 @@ there, so a grid that saves them needs an output directory. The process that
 ran the cell writes the file, so no history crosses to the parent and a
 grid's memory does not grow with its budget; a write that fails makes only
 that cell an error.
+
+With ``jobs`` > 1 the runnable cells go to a process pool in chunks of
+consecutive cells, and their records come back in enumeration order. The
+parent holds one task and one result message per chunk, not per cell, so it
+keeps a few hundred bytes per cell: the cell's record. A worker that dies
+breaks the pool, and every cell not yet returned becomes an error record.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ def derive_cell_seed(master_seed: int, cell_key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One grid cell and its outcome.
 
@@ -302,13 +308,16 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
 
     With an output path, rows stream to ``results.csv`` and ``cells.jsonl``
     as cells finish (in enumeration order, so reruns are byte-identical).
+    With ``jobs`` > 1 the runnable cells reach the worker pool in chunks of
+    consecutive cells, and the parent keeps a few hundred bytes per cell.
     Requested histories are written by the process that ran each cell, into
     ``histories/``, and live only in those files: this function creates the
     directory, and raises :class:`ConfigError` before any cell runs when
     ``save_histories`` has no output path. Failing cells become
     ``status=error`` records, and so do cells whose history could not be
     written and the cells lost when a worker process dies (a broken pool
-    fails every cell still queued on it); the grid always runs to completion.
+    fails every cell it has not yet returned); the grid always runs to
+    completion.
     """
     if grid.save_histories and not grid.output:
         raise ConfigError("save_histories needs an output directory")
@@ -326,26 +335,31 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             writer = csv.writer(handle)
             writer.writerow(RESULT_COLUMNS)
             log = stack.enter_context((out_dir / "cells.jsonl").open("w"))
-        pending = {}
+        runnable = [cell for cell in cells if cell.status != "skipped"]
         if grid.jobs > 1:
             # imported here: a serial grid, and ``import ember``, never load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=grid.jobs)
             stack.callback(executor.shutdown)
-            for index, cell in enumerate(cells):
-                if cell.status != "skipped":
-                    pending[index] = executor.submit(execute, cell)
-        for index, cell in enumerate(cells):
+            # about 16 chunks per worker bound the wait on the slowest last chunk;
+            # a grid of fewer than 32 * jobs runnable cells still sends one cell per task
+            chunksize = max(1, len(runnable) // (16 * grid.jobs))
+            results = executor.map(execute, runnable, chunksize=chunksize)
+        else:
+            results = map(execute, runnable)
+        failure = None  # what ended the pool's results; every later runnable cell fails with it
+        for cell in cells:
             if cell.status == "skipped":
                 record = cell
-            elif index in pending:
-                try:
-                    record = pending.pop(index).result()
-                except Exception as exc:  # e.g. BrokenProcessPool after a worker died
-                    record = _failed(cell, exc)
+            elif failure is not None:
+                record = _failed(cell, failure)
             else:
-                record = execute(cell)
+                try:
+                    record = next(results)
+                except Exception as exc:  # e.g. BrokenProcessPool after a worker died
+                    failure = exc
+                    record = _failed(cell, exc)
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()

@@ -543,6 +543,16 @@ def test_validate_subset_and_uniform_tolerance(capsys):
     assert "fail" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-0.001", "inf"])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tol):
+    # a NaN or negative tolerance would report a zero residual as a failure
+    code, out, err = run_cli(capsys, ["validate", "--fn", "sphere", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be a finite number >= 0, got ")
+    code, out, _ = run_cli(capsys, ["validate", "--fn", "sphere", "--tol", "0"])
+    assert code == 0 and out.endswith(" 0 failed\n")
+
+
 def test_validate_unknown_function_exits_two(capsys):
     code, _, err = run_cli(capsys, ["validate", "--fn", "nonexistent"])
     assert code == 2

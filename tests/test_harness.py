@@ -300,6 +300,26 @@ def test_run_grid_retains_no_history_once_written(tmp_path, jobs):
     assert per_cell < 4096, f"{per_cell:.0f} bytes retained per extra cell"
 
 
+def test_grid_parent_keeps_under_a_kilobyte_per_cell():
+    # the process that drives a grid keeps a few hundred bytes per cell: the
+    # pool gets one task, and sends back one message, per chunk of cells.
+    # concurrent.futures.process is imported at the top of this module, so
+    # the pool's own imports are not traced
+    cells = 2000
+    grid = ExperimentGrid(algorithms=("sa",), functions=("sphere",), dimensions=(2,),
+                          agent_counts=(2,), iteration_counts=(1,), seeds=tuple(range(cells)),
+                          jobs=2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = run_grid(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in records] == ["ok"] * cells
+    assert peak / cells < 1024, f"{peak / cells:.0f} bytes per cell at the peak"
+
+
 def test_execute_cell_writes_its_history_and_returns_none(tmp_path):
     # the process that runs a cell writes its history, so none crosses to the parent
     grid = tiny_grid(save_histories=True, output=str(tmp_path))
@@ -375,14 +395,26 @@ def test_rerun_reproduces_deterministic_columns(tmp_path):
     assert snapshot() == first
 
 
+def _non_timing_rows(path):
+    with path.open(newline="") as fh:
+        return [[value for column, value in row.items()
+                 if column not in ("execution_time_s", "distance_per_unit_time")]
+                for row in csv.DictReader(fh)]
+
+
 def test_parallel_execution_matches_serial(tmp_path):
     # the tuned grid shows that parameters and the history flag reach the
-    # workers from the grid
+    # workers from the grid. The chunked grid has 138 runnable cells, so at
+    # jobs=2 they reach the pool in chunks of 4 and a last chunk of 2, and
+    # its 46 skipped booth cells at d=20 sit between runnable ones
     tuned = {"params": {"pso": {"inertia": 0.3}}, "save_histories": True}
+    chunked = {"agent_counts": (4,), "iteration_counts": (5,), "seeds": tuple(range(23)),
+               "save_histories": True}
     runs = []
-    for overrides in ({}, tuned):
-        serial = run_grid(tiny_grid(output=str(tmp_path / "serial"), **overrides))
-        parallel = run_grid(tiny_grid(jobs=3, output=str(tmp_path / "parallel"), **overrides))
+    for n, (overrides, jobs) in enumerate((({}, 3), (tuned, 3), (chunked, 2))):
+        sides = (tmp_path / f"{n}-serial", tmp_path / f"{n}-parallel")
+        serial = run_grid(tiny_grid(output=str(sides[0]), **overrides))
+        parallel = run_grid(tiny_grid(jobs=jobs, output=str(sides[1]), **overrides))
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.cell_key == b.cell_key and a.status == b.status
@@ -390,15 +422,19 @@ def test_parallel_execution_matches_serial(tmp_path):
                 assert a.best_fitness == b.best_fitness
                 assert a.total_distance == b.total_distance
                 assert a.iterations_run == b.iterations_run
-        histories = [sorted((tmp_path / side / "histories").glob("*.csv"))
-                     for side in ("serial", "parallel")]
+        assert (sides[0] / "cells.jsonl").read_bytes() == (sides[1] / "cells.jsonl").read_bytes()
+        assert _non_timing_rows(sides[0] / "results.csv") == _non_timing_rows(
+            sides[1] / "results.csv")
+        histories = [sorted((side / "histories").glob("*.csv")) for side in sides]
         assert [p.name for p in histories[0]] == [p.name for p in histories[1]]
         assert len(histories[0]) == (sum(r.status == "ok" for r in serial)
-                                     if overrides is tuned else 0)
+                                     if "save_histories" in overrides else 0)
         for a, b in zip(*histories):
             assert a.read_bytes() == b.read_bytes()
         runs.append(serial)
-    pairs = [(a, b) for a, b in zip(*runs) if a.status == "ok"]
+    assert [r.status for r in runs[2]].count("ok") == 138
+    assert [r.status for r in runs[2]].count("skipped") == 46
+    pairs = [(a, b) for a, b in zip(*runs[:2]) if a.status == "ok"]
     assert pairs and all(
         (a.total_distance != b.total_distance) == (a.algorithm == "pso") for a, b in pairs
     )
@@ -518,17 +554,17 @@ def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
 
 
 def test_failed_future_message_names_the_exception(monkeypatch):
-    # a worker that dies leaves BrokenProcessPool in its futures; the record
-    # carries the exception's type and text
+    # a worker that dies makes the pool's results raise BrokenProcessPool;
+    # every record carries the exception's type and text
     class Dead:
-        def result(self):
+        def __next__(self):
             raise BrokenProcessPool("a child process terminated abruptly")
 
     class Pool:
         def __init__(self, max_workers):
             pass
 
-        def submit(self, fn, cell):
+        def map(self, fn, cells, chunksize):
             return Dead()
 
         def shutdown(self):
