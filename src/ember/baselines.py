@@ -153,17 +153,15 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
 def acceptance_probability(delta_energy: float, temperature: float) -> float:
     """Annealing acceptance probability exp(-delta/T) for a fitness increase.
 
-    Non-positive deltas are certain acceptances. Computed so that extreme
-    ratios underflow cleanly to 0 instead of raising.
+    Non-positive deltas are certain acceptances. A zero temperature (one that
+    has underflowed) accepts nothing; ``math.exp`` returns 0.0 for a ratio too
+    negative to represent and never raises.
     """
     if delta_energy <= 0.0:
         return 1.0
     if temperature <= 0.0:
         return 0.0
-    ratio = -delta_energy / temperature
-    if ratio < -745.0:  # exp() underflows to subnormal zero around here
-        return 0.0
-    return math.exp(ratio)
+    return math.exp(-delta_energy / temperature)
 
 
 def ffo_steps(spec, params, rng, evaluate, domain):

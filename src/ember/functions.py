@@ -6,9 +6,9 @@ optimum. One table row per function holds all of it; the registry is built
 from the table at import. Evaluators are plain numpy. Each takes a float
 array of shape ``(..., d)`` and reduces over the last axis: a single point of
 shape ``(d,)`` gives a scalar, a batch of shape ``(n, d)`` gives ``n`` values,
-each bit for bit the value of that row alone. The registry marks each
-evaluator :func:`~ember.recording.batch_capable`, so the optimizers evaluate
-a whole population in one call.
+each bit for bit the value of that row alone. That is the contract of every
+objective (:class:`~ember.recording.Evaluator`), so the optimizers evaluate a
+whole population in one call.
 
 An entry's ``dimensions`` field is the range of dimensions ``evaluate``
 accepts, ``(smallest, largest or None)``: any n (``ANY_N``, functions with an
@@ -34,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, UnknownFunctionError
-from .recording import batch_capable
 
 __all__ = [
     "BenchmarkFunction",
@@ -432,7 +431,7 @@ _TABLE = [
 
 _REGISTRY: dict[str, BenchmarkFunction] = {
     name: BenchmarkFunction(
-        name, batch_capable(evaluator), domain, dimensions, frozenset(tags.split()),
+        name, evaluator, domain, dimensions, frozenset(tags.split()),
         minimum, rule, minimizer, tolerance,
     )
     for (name, evaluator, domain, dimensions, minimum, rule, minimizer, tolerance, tags) in _TABLE
@@ -489,7 +488,8 @@ def make_objective(name: str, dimension: int) -> Callable[[np.ndarray], float]:
     """Dimension-checked bare evaluator for hot loops.
 
     Validation happens once here; the returned callable skips per-call checks.
-    It is batch-capable: it accepts one point or an ``(n, d)`` array of points.
+    It takes one point of shape ``(d,)`` or an array of shape ``(..., d)`` and
+    gives one value per point, as every objective must.
     """
     fn = get_function(name)
     _check_dimension(fn, dimension)

@@ -1,7 +1,7 @@
 """The run driver (:func:`drive`), which seeds each run's one generator and is
 the one routine that turns visited positions into ``total_distance``; run
 outcomes; and the :class:`Evaluator`, each run's one path to its objective,
-which checks, batches and counts every evaluation."""
+which checks and counts every evaluation and values a population in one call."""
 
 from __future__ import annotations
 
@@ -14,27 +14,17 @@ import numpy as np
 from .errors import EvaluationError
 
 
-def batch_capable(fn):
-    """Mark ``fn`` as accepting a batch of points.
-
-    A marked callable takes an ``(n, d)`` array and returns its ``n`` values,
-    each bit for bit what the callable gives for that row alone.
-    :meth:`Evaluator.rows` hands a marked objective the whole batch in one call.
-    """
-    fn.batch_capable = True
-    return fn
-
-
 class Evaluator:
-    """One run's objective. Calling it values one point; ``count`` is the number
-    of points valued so far. A non-finite value raises :class:`EvaluationError`
-    carrying the offending point and value."""
+    """One run's objective. The objective maps an array of shape ``(..., d)`` to
+    one value per point, reduced over the last axis. Calling the evaluator values
+    one point; ``count`` is the number of points valued so far. A non-finite
+    value raises :class:`EvaluationError` carrying the offending point and
+    value."""
 
-    __slots__ = ("objective", "batched", "count")
+    __slots__ = ("objective", "count")
 
     def __init__(self, objective):
         self.objective = objective
-        self.batched = getattr(objective, "batch_capable", False)
         self.count = 0
 
     def __call__(self, point) -> float:
@@ -46,14 +36,12 @@ class Evaluator:
                               agent=np.array(point, copy=True), value=value)
 
     def rows(self, rows) -> np.ndarray:
-        """The values of the rows of a 2-D array, in one call when the objective is
-        :func:`batch_capable` and one call per row otherwise. Either way the first
-        non-finite row in index order raises :class:`EvaluationError`."""
-        if not self.batched:
-            return np.array([self(row) for row in rows], dtype=float)
+        """The values of the rows of a 2-D array, from one call of the objective.
+        A result of any other shape than ``(len(rows),)``, or the first non-finite
+        row in index order, raises :class:`EvaluationError`."""
         values = np.asarray(self.objective(rows), dtype=float)
         if values.shape != (len(rows),):
-            raise EvaluationError(f"batched objective returned shape {values.shape} "
+            raise EvaluationError(f"objective returned shape {values.shape} "
                                   f"for {len(rows)} rows")
         self.count += len(rows)
         finite = np.isfinite(values)

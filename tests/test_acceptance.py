@@ -141,7 +141,7 @@ def test_criterion_03_run_properties_hold_across_a_grid(tmp_path):
         def watching(x, box=box, escapes=escapes):
             if np.any(x < box.lower) or np.any(x > box.upper):
                 escapes.append(x)
-            return float(np.sum(x * x))
+            return np.sum(x * x, axis=-1)
 
         run_optimizer(OptimizerSpec(name=name, max_iter=40, num_agents=10, seed=2),
                       watching, box)
@@ -359,7 +359,7 @@ def test_criterion_10_baseline_sanity_on_sphere():
         def watching(x, escapes=escapes):
             if np.any(x < box.lower) or np.any(x > box.upper):
                 escapes.append(x)
-            return float(np.sum(x * x))
+            return np.sum(x * x, axis=-1)
 
         finals = []
         for seed in range(10):

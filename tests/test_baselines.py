@@ -28,7 +28,7 @@ BOX = DomainBox(-5.12, 5.12, 2)
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def run_named(name, seed=0, max_iter=200, num_agents=30, params=None):
@@ -493,7 +493,7 @@ def test_ga_tournament_ties_go_to_the_earlier_contender():
     # a coarse objective gives distinct points equal values
     spec = OptimizerSpec(name="ga", params={"tournament_size": 4}, max_iter=15,
                          num_agents=10, seed=3)
-    _assert_replays(spec, lambda x: float(np.floor(x @ x)), BOX)
+    _assert_replays(spec, lambda x: np.floor(np.vecdot(x, x)), BOX)
 
 
 def _assert_replays(spec, objective, domain):

@@ -129,7 +129,7 @@ def test_run_out_that_cannot_be_written_fails_before_the_run(capsys, tmp_path, m
 
 def test_run_evaluation_error_exits_three(capsys, monkeypatch):
     good = get_function("sphere")
-    broken = dataclasses.replace(good, evaluator=lambda x: float("nan"))
+    broken = dataclasses.replace(good, evaluator=lambda x: np.full(x.shape[:-1], np.nan))
     monkeypatch.setitem(functions._REGISTRY, "sphere", broken)
     code, _, err = run_cli(capsys, ["run", "--fn", "sphere", "--iters", "5",
                                     "--agents", "5"])

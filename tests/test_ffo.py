@@ -23,11 +23,11 @@ BOUNDS = (-5.12, 5.12)
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def constant(x):
-    return 1e-3
+    return np.full(x.shape[:-1], 1e-3)
 
 
 def ffo_steps(objective=sphere, *, dimension=2, bounds=BOUNDS, num_agents=8, max_iter=20,
@@ -158,7 +158,7 @@ def test_evaluate_agents_counter_semantics():
         calls.append(1)
         return -float(len(calls))
 
-    outcome = ffo_run(falling, num_agents=8, max_iter=100, use_additional_conditions=True,
+    outcome = ffo_run(np.vectorize(falling, signature="(d)->()"), num_agents=8, max_iter=100, use_additional_conditions=True,
                       no_improve_limit=1, target_fitness=-1e9, mutation_probability=0.0)
     assert outcome.iterations_run == 100
 
@@ -176,15 +176,15 @@ def test_evaluate_agents_tie_is_not_improvement():
 def test_local_search_greedy_at_zero_temperature():
     # at a temperature that underflows the acceptance probability, each agent
     # leaves its local search at the best point it valued: the agent itself or
-    # one of its 10 candidates. With an unmarked objective a pass values the N
-    # rows, then 11 points per agent.
+    # one of its 10 candidates. With a per-point function behind np.vectorize a
+    # pass values the N rows, then 11 points per agent, one call each.
     seen = []
 
     def recording(x):
         seen.append(sphere(x))
         return seen[-1]
 
-    steps = ffo_steps(recording, bounds=(-100.0, 100.0), num_agents=4, max_iter=6,
+    steps = ffo_steps(np.vectorize(recording, signature="(d)->()"), bounds=(-100.0, 100.0), num_agents=4, max_iter=6,
                       initial_temp=1e-300, mutation_probability=1.0, crossover_probability=0.0)
     next(steps)
     seen.clear()
@@ -234,7 +234,7 @@ def test_cooling_schedule_two_regimes():
 def test_should_terminate_budget_only_by_default():
     # without the conditions, neither a counter far past the limit nor a best
     # value below the target stops the run
-    outcome = ffo_run(lambda x: 0.0, max_iter=40, no_improve_limit=1)
+    outcome = ffo_run(lambda x: np.zeros(x.shape[:-1]), max_iter=40, no_improve_limit=1)
     assert outcome.iterations_run == 40
     assert len(outcome.fitness_history) == 39
 
@@ -342,13 +342,13 @@ def test_streaming_distance_matches_resummed_path():
 
 def test_non_finite_objective_raises_evaluation_error():
     def broken(x):
-        return float("nan")
+        return np.full(x.shape[:-1], np.nan)
 
     with pytest.raises(EvaluationError):
         ffo_run(broken)
 
     def explodes_later(x):
-        return float("inf") if sphere(x) < 25.0 else sphere(x)
+        return np.where(sphere(x) < 25.0, np.inf, sphere(x))
 
     with pytest.raises(EvaluationError) as exc:
         ffo_run(explodes_later, max_iter=100, num_agents=20)
@@ -361,9 +361,7 @@ def test_non_finite_local_search_candidate_raises_evaluation_error():
     settings = dict(bounds=(-1.0, 1.0), mutation_probability=1.0, crossover_probability=0.0)
 
     def nan_outside_box(x):
-        if np.any(np.abs(x) > 1.0):
-            return float("nan")
-        return sphere(x)
+        return np.where(np.any(np.abs(x) > 1.0, axis=-1), np.nan, sphere(x))
 
     next(ffo_steps(nan_outside_box, **settings))  # every initial row is finite
     with pytest.raises(EvaluationError) as exc:

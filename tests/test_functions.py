@@ -62,8 +62,7 @@ def _registry_dump() -> str:
     for fn in list_functions():
         lines.append(
             f"{fn.name} domain={fn.domain!r} dimensions={fn.dimensions} "
-            f"attributes={sorted(fn.attributes)} tolerance={fn.tolerance!r} "
-            f"batch={getattr(fn.evaluator, 'batch_capable', False)}"
+            f"attributes={sorted(fn.attributes)} tolerance={fn.tolerance!r}"
         )
         for d in (1, 2, 3, 20, 50):
             if not fn.accepts_dimension(d):
@@ -76,7 +75,7 @@ def _registry_dump() -> str:
 
 def test_registry_entries_are_pinned():
     digest = hashlib.sha256(_registry_dump().encode()).hexdigest()
-    assert digest == "03de68d070768678842ac79fa98d35a299aebd18498e943552871e0b695d6e87"
+    assert digest == "c5527c7fa4c8eedcc9e9fb56c5e32662433b80e20ffcde8052c323f71198ff0e"
 
 
 def test_scalable_tag_matches_experiment_set():

@@ -523,7 +523,7 @@ def test_cells_log_carries_each_cells_reason(tmp_path, monkeypatch):
 
     def objective(function, dimension):
         if function == "sphere":
-            return lambda x: float("nan")
+            return lambda x: np.full(x.shape[:-1], np.nan)
         return registry_objective(function, dimension)
 
     monkeypatch.setattr(harness, "make_objective", objective)

@@ -6,8 +6,8 @@ import pytest
 
 from ember import OptimizerSpec, domain_box, run_optimizer
 from ember.errors import EvaluationError
-from ember.functions import list_functions, make_objective
-from ember.recording import Evaluator, batch_capable, drive
+from ember.functions import make_objective
+from ember.recording import Evaluator, drive
 
 from oracles import path_length
 
@@ -20,13 +20,6 @@ def _rows(n=6, d=4, seed=0):
 # Evaluator
 
 
-def test_registry_objectives_are_batch_capable():
-    for fn in list_functions():
-        for d in (2, 20):
-            if fn.accepts_dimension(d):
-                assert make_objective(fn.name, d).batch_capable, (fn.name, d)
-
-
 def test_batched_and_per_row_paths_agree():
     rows = _rows(d=20)
     objective = make_objective("rastrigin", 20)
@@ -36,16 +29,16 @@ def test_batched_and_per_row_paths_agree():
         calls.append(x.shape)
         return objective(x)
 
-    batched, looped = Evaluator(objective), Evaluator(per_point)
+    batched = Evaluator(objective)
+    looped = Evaluator(np.vectorize(per_point, signature="(d)->()"))
     assert batched.rows(rows).tobytes() == looped.rows(rows).tobytes()
-    assert calls == [(20,)] * len(rows)  # an unmarked callable sees one point per call
+    assert calls == [(20,)] * len(rows)  # the vectorized function sees one point per call
     assert batched.count == looped.count == len(rows)
 
 
 def test_batched_objective_gets_one_call():
     calls = []
 
-    @batch_capable
     def sphere(x):
         calls.append(x.shape)
         return np.sum(x**2, axis=-1)
@@ -78,9 +71,9 @@ def test_batched_non_finite_matches_per_row_error(bad):
     def per_point(x):
         return bad if x[0] > 0.0 else float(np.sum(x**2))
 
-    batched = batch_capable(lambda x: np.where(x[:, 0] > 0.0, bad, np.sum(x**2, axis=-1)))
+    batched = lambda x: np.where(x[:, 0] > 0.0, bad, np.sum(x**2, axis=-1))  # noqa: E731
     with pytest.raises(EvaluationError) as looped:
-        Evaluator(per_point).rows(rows)
+        Evaluator(np.vectorize(per_point, signature="(d)->()")).rows(rows)
     with pytest.raises(EvaluationError) as at_once:
         Evaluator(batched).rows(rows)
     first = int(np.argmax(rows[:, 0] > 0.0))
@@ -91,9 +84,13 @@ def test_batched_non_finite_matches_per_row_error(bad):
 
 
 def test_batched_wrong_shape_is_rejected():
-    scalar = batch_capable(lambda x: float(np.sum(x)))
+    scalar = lambda x: float(np.sum(x))  # noqa: E731 - one value for a whole block
     with pytest.raises(EvaluationError, match="shape"):
         Evaluator(scalar).rows(_rows())
+    # an objective written for one point fails the run that values a population
+    with pytest.raises(EvaluationError, match="shape"):
+        run_optimizer(OptimizerSpec("pso", max_iter=1, num_agents=4), scalar,
+                      domain_box("sphere", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +119,14 @@ def test_run_evaluation_counts(algorithm, function, dimension):
     objective = make_objective(function, dimension)
     calls = []
 
-    def per_point(x):  # unmarked, so the run calls it once per point
+    def per_point(x):  # behind np.vectorize, so the run calls it once per point
         calls.append(1)
         return objective(x)
 
     spec = OptimizerSpec(algorithm, max_iter=ITERATIONS, num_agents=AGENTS, seed=SEED)
     domain = domain_box(function, dimension)
     batched = run_optimizer(spec, objective, domain)
-    looped = run_optimizer(spec, per_point, domain)
+    looped = run_optimizer(spec, np.vectorize(per_point, signature="(d)->()"), domain)
     expected = EXPECTED_EVALUATIONS.get(algorithm, FFO_EVALUATIONS[function, dimension])
     assert batched.evaluations == looped.evaluations == len(calls) == expected
 
