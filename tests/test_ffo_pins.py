@@ -8,7 +8,9 @@ on, a local search for every agent, a single coordinate (no crossover), the
 stagnation stop, the target stop, and a temperature so low that the local
 search is greedy. Each must reproduce its best fitness and total distance (as
 ``float.hex``), the sha256 of its history's float64 bytes, its iteration count
-and its evaluation count, on both evaluation paths.
+and its evaluation count, both with the registry objective, which values a
+population in one call, and with the same evaluator wrapped in
+``np.vectorize(..., signature="(d)->()")``, which calls it once per point.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def test_ffo_pin(name, path):
     objective = make_objective(function, dimension)
     if path == "per-row":
         evaluator = objective
-        objective = lambda x: evaluator(x)  # noqa: E731 - an unmarked callable
+        objective = np.vectorize(evaluator, signature="(d)->()")
     spec = OptimizerSpec("ffo", params, max_iter, AGENTS, SEED)
     outcome = run_optimizer(spec, objective, domain_box(function, dimension))
     history = np.asarray(outcome.fitness_history, dtype=float).tobytes()

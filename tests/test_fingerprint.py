@@ -9,8 +9,8 @@ here as a failure; a deliberate drift must update the table and say so.
 
 Each case runs twice: once with the registry objective from
 ``make_objective`` (population evaluation in one batched call) and once with
-the same evaluator behind a plain per-point callable (one call per row).
-Both must give the pinned values.
+the same evaluator wrapped in ``np.vectorize(..., signature="(d)->()")``,
+which calls it once per point. Both must give the pinned values.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def test_run_fingerprint(case, path):
     objective = make_objective(function, dimension)
     if path == "per-row":
         evaluator = objective
-        objective = lambda x: evaluator(x)  # noqa: E731 - an unmarked callable
+        objective = np.vectorize(evaluator, signature="(d)->()")
     spec = OptimizerSpec(name=algorithm, max_iter=ITERATIONS, num_agents=AGENTS, seed=SEED)
     outcome = run_optimizer(spec, objective, domain_box(function, dimension))
     assert _fingerprint(outcome) == FINGERPRINTS[case]
