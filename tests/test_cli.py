@@ -553,6 +553,17 @@ def test_validate_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys,
     assert code == 0 and out.endswith(" 0 failed\n")
 
 
+def test_validate_negative_tolerance_in_exponent_form_is_rejected_by_argparse(capsys):
+    # argparse takes "-1e-3" for an option, so the command fails before the
+    # tolerance check; joined to its flag the value reaches that check
+    code, out, err = run_cli(capsys, ["validate", "--fn", "sphere", "--tol", "-1e-3"])
+    assert (code, out) == (2, "")
+    assert "--tol" in err
+    code, out, err = run_cli(capsys, ["validate", "--fn", "sphere", "--tol=-1e-3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be a finite number >= 0, got ")
+
+
 def test_validate_unknown_function_exits_two(capsys):
     code, _, err = run_cli(capsys, ["validate", "--fn", "nonexistent"])
     assert code == 2

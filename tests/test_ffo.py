@@ -158,8 +158,9 @@ def test_evaluate_agents_counter_semantics():
         calls.append(1)
         return -float(len(calls))
 
-    outcome = ffo_run(np.vectorize(falling, signature="(d)->()"), num_agents=8, max_iter=100, use_additional_conditions=True,
-                      no_improve_limit=1, target_fitness=-1e9, mutation_probability=0.0)
+    outcome = ffo_run(np.vectorize(falling, signature="(d)->()"), num_agents=8, max_iter=100,
+                      use_additional_conditions=True, no_improve_limit=1, target_fitness=-1e9,
+                      mutation_probability=0.0)
     assert outcome.iterations_run == 100
 
 
@@ -184,8 +185,9 @@ def test_local_search_greedy_at_zero_temperature():
         seen.append(sphere(x))
         return seen[-1]
 
-    steps = ffo_steps(np.vectorize(recording, signature="(d)->()"), bounds=(-100.0, 100.0), num_agents=4, max_iter=6,
-                      initial_temp=1e-300, mutation_probability=1.0, crossover_probability=0.0)
+    steps = ffo_steps(np.vectorize(recording, signature="(d)->()"), bounds=(-100.0, 100.0),
+                      num_agents=4, max_iter=6, initial_temp=1e-300, mutation_probability=1.0,
+                      crossover_probability=0.0)
     next(steps)
     seen.clear()
     for moved, _, _ in steps:
