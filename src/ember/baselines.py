@@ -3,14 +3,18 @@
 Five step generators, FFO and four classic algorithms (particle swarm,
 simulated annealing, a real-coded genetic algorithm, harmony search), and one
 way to run them: :func:`run_optimizer` with an :class:`OptimizerSpec`. It looks
-the step generator up by the spec's name, resolves the parameters and hands
-both to :func:`~ember.recording.drive`. The driver gives the step generator
-the run's one random generator, seeded by the spec, and an
+the spec's name up in one table, whose row for each optimizer holds its step
+generator and its parameter table, resolves the parameters and hands both to
+:func:`~ember.recording.drive`. The driver gives the step generator the run's
+one random generator, seeded by the spec, and an
 :class:`~ember.recording.Evaluator` for its objective, times it, keeps its
 history and path length, and returns a :class:`~ember.recording.RunOutcome`.
 Every step generator ``(spec, params, rng, evaluate, domain)`` draws all its
 randomness from ``rng`` and keeps every reported position inside the domain
-box.
+box. An optimizer reads objective values only through comparisons and, for SA
+and FFO, through delta/T, so scaling the objective and ``initial_temp`` by a
+power of two only scales the history (FFO's ``use_additional_conditions``
+also compares with an absolute ``target_fitness``).
 
 :func:`resolve_params` checks parameter values for runs and for the grid,
 and :func:`acceptance_probability` is the annealing rule of SA and of FFO's
@@ -62,49 +66,6 @@ class OptimizerSpec:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-# Each optimizer's parameters as name: (default, interval it must lie in, or
-# None). Besides, every number must be finite, a parameter whose default is an
-# int must be an exact integer, and a boolean is not a number. GA's elitism is
-# also capped by the population.
-_PARAMS: dict[str, dict[str, tuple]] = {
-    "ffo": {
-        "no_improve_limit": (30, "[1, inf)"),
-        "step_size": (1.0, "(0, inf)"),
-        "crossover_probability": (0.5, "[0, 1]"),
-        "mutation_probability": (0.1, "[0, 1]"),
-        "initial_temp": (100.0, "(0, inf)"),
-        "cooling_rate": (0.95, "(0, 1)"),
-        "use_additional_conditions": (False, None),
-        "target_fitness": (1e-5, None),
-        "perturbation_threshold": (50, "[0, inf)"),
-    },
-    "pso": {
-        "inertia": (0.7, None),
-        "cognitive": (1.0, None),
-        "social": (1.0, None),
-    },
-    "sa": {
-        "initial_temp": (100.0, "(0, inf)"),
-        "cooling_rate": (0.95, "(0, 1)"),
-        "proposal_scale": (0.1, "[0, inf)"),  # proposal sigma as a fraction of domain width
-    },
-    "ga": {
-        "crossover_rate": (0.1, "[0, 1]"),
-        "mutation_rate": (0.1, "[0, 1]"),
-        "tournament_size": (2, "[1, inf)"),
-        "elitism": (1, "[0, inf)"),
-        "mutation_scale": (0.1, "[0, inf)"),  # mutation sigma as a fraction of domain width
-    },
-    "hs": {
-        "memory_consideration_rate": (0.9, "[0, 1]"),
-        "pitch_adjustment_rate": (0.3, "[0, 1]"),
-        "bandwidth_fraction": (0.01, "[0, inf)"),  # pitch step as a fraction of domain width
-    },
-}
-
-PARAM_DEFAULTS: dict[str, dict] = {
-    name: {key: default for key, (default, _) in table.items()} for name, table in _PARAMS.items()
-}
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
@@ -128,19 +89,19 @@ def resolve_params(name: str, overrides: dict, num_agents: int) -> dict:
     Raises :class:`ConfigError` for an unknown key or a value the optimizer
     cannot run with; the message starts with the offending key.
     """
-    defaults = PARAM_DEFAULTS[name]
-    unknown = sorted(set(overrides) - set(defaults))
+    _, table = _OPTIMIZERS[name]
+    unknown = sorted(set(overrides) - set(table))
     if unknown:
         raise ConfigError(
             f"{unknown[0]}: unknown parameter for optimizer {name!r}; "
-            f"valid: {', '.join(sorted(defaults))}"
+            f"valid: {', '.join(sorted(table))}"
         )
     for key, value in overrides.items():
-        kind = type(defaults[key])
+        kind = type(table[key][0])
         if not _is_kind(value, kind):
             raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    params = {**defaults, **overrides}
-    for key, (_, interval) in _PARAMS[name].items():
+    params = {**PARAM_DEFAULTS[name], **overrides}
+    for key, (_, interval) in table.items():
         if interval and not _in_range(params[key], interval):
             raise ConfigError(f"{key} must lie in {interval}, got {params[key]!r}")
     if name == "ga" and params["elitism"] > num_agents:
@@ -430,12 +391,49 @@ def hs_steps(spec, params, rng, evaluate, domain):
     return spec.max_iter
 
 
-_OPTIMIZERS: dict[str, object] = {
-    "ffo": ffo_steps,
-    "pso": pso_steps,
-    "sa": sa_steps,
-    "ga": ga_steps,
-    "hs": hs_steps,
+# Each optimizer's step generator and its parameters as name: (default,
+# interval it must lie in, or None). Besides, every number must be finite, a
+# parameter whose default is an int must be an exact integer, and a boolean is
+# not a number. GA's elitism is also capped by the population.
+_OPTIMIZERS: dict[str, tuple] = {
+    "ffo": (ffo_steps, {
+        "no_improve_limit": (30, "[1, inf)"),
+        "step_size": (1.0, "(0, inf)"),
+        "crossover_probability": (0.5, "[0, 1]"),
+        "mutation_probability": (0.1, "[0, 1]"),
+        "initial_temp": (100.0, "(0, inf)"),
+        "cooling_rate": (0.95, "(0, 1)"),
+        "use_additional_conditions": (False, None),
+        "target_fitness": (1e-5, None),
+        "perturbation_threshold": (50, "[0, inf)"),
+    }),
+    "pso": (pso_steps, {
+        "inertia": (0.7, None),
+        "cognitive": (1.0, None),
+        "social": (1.0, None),
+    }),
+    "sa": (sa_steps, {
+        "initial_temp": (100.0, "(0, inf)"),
+        "cooling_rate": (0.95, "(0, 1)"),
+        "proposal_scale": (0.1, "[0, inf)"),  # proposal sigma as a fraction of domain width
+    }),
+    "ga": (ga_steps, {
+        "crossover_rate": (0.1, "[0, 1]"),
+        "mutation_rate": (0.1, "[0, 1]"),
+        "tournament_size": (2, "[1, inf)"),
+        "elitism": (1, "[0, inf)"),
+        "mutation_scale": (0.1, "[0, inf)"),  # mutation sigma as a fraction of domain width
+    }),
+    "hs": (hs_steps, {
+        "memory_consideration_rate": (0.9, "[0, 1]"),
+        "pitch_adjustment_rate": (0.3, "[0, 1]"),
+        "bandwidth_fraction": (0.01, "[0, inf)"),  # pitch step as a fraction of domain width
+    }),
+}
+
+PARAM_DEFAULTS: dict[str, dict] = {
+    name: {key: default for key, (default, _) in table.items()}
+    for name, (_, table) in _OPTIMIZERS.items()
 }
 
 
@@ -447,7 +445,7 @@ def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox) -> RunOutco
     """Run the optimizer named by the spec: resolve its parameters, then
     :func:`~ember.recording.drive` its step generator."""
     try:
-        steps = _OPTIMIZERS[spec.name]
+        steps, _ = _OPTIMIZERS[spec.name]
     except KeyError:
         raise ConfigError(
             f"unknown optimizer {spec.name!r}; available: {', '.join(optimizer_names())}"

@@ -380,11 +380,9 @@ def export_history(history, path) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("iteration", "best_fitness"))
-        for i, value in enumerate(history, start=1):
-            writer.writerow((i, str(value)))
+    # the bytes csv.writer gives: str(float) never needs quoting
+    rows = "".join(f"{i},{value}\r\n" for i, value in enumerate(history, start=1))
+    path.write_text("iteration,best_fitness\r\n" + rows, newline="")
     return path
 
 

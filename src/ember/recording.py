@@ -14,6 +14,12 @@ import numpy as np
 from .errors import EvaluationError
 
 
+def _non_finite(point, value: float) -> EvaluationError:
+    """The error for ``point``'s non-finite ``value``, carrying a copy of the point."""
+    return EvaluationError(f"objective returned non-finite value {value!r}",
+                           agent=np.array(point, copy=True), value=value)
+
+
 class Evaluator:
     """One run's objective. The objective maps an array of shape ``(..., d)`` to
     one value per point, reduced over the last axis. Calling the evaluator values
@@ -32,8 +38,7 @@ class Evaluator:
         self.count += 1
         if math.isfinite(value):
             return value
-        raise EvaluationError(f"objective returned non-finite value {value!r}",
-                              agent=np.array(point, copy=True), value=value)
+        raise _non_finite(point, value)
 
     def rows(self, rows) -> np.ndarray:
         """The values of the rows of a 2-D array, from one call of the objective.
@@ -47,9 +52,7 @@ class Evaluator:
         finite = np.isfinite(values)
         if not finite.all():
             first = int(np.argmin(finite))
-            value = float(values[first])
-            raise EvaluationError(f"objective returned non-finite value {value!r}",
-                                  agent=np.array(rows[first], copy=True), value=value)
+            raise _non_finite(rows[first], float(values[first]))
         return values
 
 

@@ -165,9 +165,9 @@ def _yields(name, function, seed, budget, count=None):
     the evaluation count so far. Only the first ``count`` yields when given."""
     spec = OptimizerSpec(name, {}, budget, 6, seed)
     evaluate = Evaluator(make_objective(function, 3))
-    steps = baselines._OPTIMIZERS[name](spec, baselines.resolve_params(name, {}, 6),
-                                        np.random.default_rng(seed), evaluate,
-                                        domain_box(function, 3))
+    run, _ = baselines._OPTIMIZERS[name]
+    steps = run(spec, baselines.resolve_params(name, {}, 6), np.random.default_rng(seed),
+                evaluate, domain_box(function, 3))
     return [(None if moved is None else moved.tobytes(), best, evaluate.count)
             for moved, _, best in itertools.islice(steps, count)]
 

@@ -451,7 +451,7 @@ def _fake_optimizer(monkeypatch, name, run):
     """Make ``name`` a known optimizer whose cells ``run(spec, objective, domain)``
     runs in place of ``run_optimizer``; every other optimizer runs as before."""
     run_optimizer = harness.run_optimizer
-    monkeypatch.setitem(baselines._OPTIMIZERS, name, run)
+    monkeypatch.setitem(baselines._OPTIMIZERS, name, (run, {}))
     monkeypatch.setattr(harness, "run_optimizer", lambda spec, objective, domain: (
         run if spec.name == name else run_optimizer)(spec, objective, domain))
 
@@ -758,3 +758,4 @@ def test_export_history_round_trip(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3", "4"]
     assert [float(l.split(",")[1]) for l in lines[1:]] == [3.0, 2.0, 2.0, 1.0]
     assert path == tmp_path / "deep" / "x.csv"
+    assert path.read_bytes() == b"iteration,best_fitness\r\n1,3.0\r\n2,2.0\r\n3,2.0\r\n4,1.0\r\n"
