@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functions import DomainBox
-from .recording import RunOutcome, drive, initial_population
+from .recording import RunOutcome, best_of, drive, initial_population
 
 __all__ = [
     "OptimizerSpec",
@@ -129,10 +129,10 @@ def ffo_steps(spec, params, rng, evaluate, domain):
     """FFO: evolutionary recombination hybridized with an annealing local search.
 
     Each pass first values the whole population. A strictly better population
-    minimum (the first index wins ties) replaces the global best and resets the
-    stagnation counter; otherwise the counter grows by one, once per pass
-    whatever the population size, and ties never count as improvement. The
-    pass then sweeps the agents in index order:
+    minimum replaces the global best (by :func:`~ember.recording.best_of`, the
+    first index wins ties) and resets the stagnation counter; otherwise the
+    counter grows by one, once per pass whatever the population size, and ties
+    never count as improvement. The pass then sweeps the agents in index order:
 
     * crossover (only when d >= 2): the agent picks a partner uniform on
       {0, ..., N-1}, possibly itself, and a cut point uniform on {1, ..., d-1},
@@ -180,14 +180,9 @@ def ffo_steps(spec, params, rng, evaluate, domain):
     while iteration < spec.max_iter and not (conditions and (
         counter > params["no_improve_limit"] or best_fitness < params["target_fitness"]
     )):
-        fitness = evaluate.rows(agents)
-        best = int(fitness.argmin())
-        if fitness[best] < best_fitness:
-            best_fitness = float(fitness[best])
-            best_agent = agents[best].copy()
-            counter = 0
-        else:
-            counter += 1
+        previous = best_fitness
+        best_agent, best_fitness = best_of(agents, evaluate.rows(agents), best_agent, best_fitness)
+        counter = 0 if best_fitness < previous else counter + 1
         stagnant = counter > threshold
         intensity = 0.1 + 0.02 * (counter - threshold)
         temperature = params["initial_temp"] * params["cooling_rate"] ** iteration
@@ -259,10 +254,8 @@ def pso_steps(spec, params, rng, evaluate, domain):
         improved = fitness < personal_fitness
         personal_best[improved] = positions[improved]
         personal_fitness[improved] = fitness[improved]
-        g = int(personal_fitness.argmin())
-        if personal_fitness[g] < best_fitness:
-            best_fitness = float(personal_fitness[g])
-            best_agent = personal_best[g].copy()
+        best_agent, best_fitness = best_of(personal_best, personal_fitness,
+                                           best_agent, best_fitness)
         yield positions, best_agent, best_fitness
     return spec.max_iter
 
@@ -277,10 +270,9 @@ def sa_steps(spec, params, rng, evaluate, domain):
     d = domain.dimension
     sigma = params["proposal_scale"] * (domain.upper - domain.lower)
     temperature = params["initial_temp"]
-    current = rng.uniform(domain.lower, domain.upper, size=d)
-    current_fitness = evaluate(current)
-    best_agent = current.copy()
-    best_fitness = current_fitness
+    _, _, current, current_fitness = initial_population(rng, domain.lower, domain.upper,
+                                                        (1, d), evaluate)
+    best_agent, best_fitness = current, current_fitness
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         candidate = (current + rng.normal(0.0, sigma, size=d)).clip(domain.lower, domain.upper)
@@ -344,10 +336,7 @@ def ga_steps(spec, params, rng, evaluate, domain):
         children = np.concatenate((elites, kids[: n - elitism]))
         population = children.clip(domain.lower, domain.upper, out=children)
         fitness = evaluate.rows(population)
-        g = int(fitness.argmin())
-        if fitness[g] < best_fitness:
-            best_fitness = float(fitness[g])
-            best_agent = population[g].copy()
+        best_agent, best_fitness = best_of(population, fitness, best_agent, best_fitness)
         yield population, best_agent, best_fitness
     return spec.max_iter
 

@@ -39,6 +39,7 @@ __all__ = [
     "BenchmarkFunction",
     "DomainBox",
     "ValidationRow",
+    "domain_box",
     "evaluate",
     "get_function",
     "known_minimum",

@@ -56,14 +56,23 @@ class Evaluator:
         return values
 
 
+def best_of(rows, fitness, best_agent, best_fitness):
+    """A copy of the row of the lowest value in ``fitness`` (the first index wins
+    ties) and that value, when it is strictly below ``best_fitness``; otherwise
+    ``best_agent, best_fitness`` unchanged. The one best-so-far rule of a block."""
+    best = int(fitness.argmin())
+    if fitness[best] < best_fitness:
+        return rows[best].copy(), float(fitness[best])
+    return best_agent, best_fitness
+
+
 def initial_population(rng, lower, upper, size, evaluate):
     """Uniform rows of shape ``size`` and their values from the
-    :class:`Evaluator` ``evaluate``, with a copy of the best row (the first
-    index wins ties) and its value."""
+    :class:`Evaluator` ``evaluate``, with the best row and its value by
+    :func:`best_of`."""
     rows = rng.uniform(lower, upper, size=size)
     fitness = evaluate.rows(rows)
-    best = int(fitness.argmin())
-    return rows, fitness, rows[best].copy(), float(fitness[best])
+    return rows, fitness, *best_of(rows, fitness, None, math.inf)
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,16 @@ def test_grid_jobs_and_out_flags_override_config(capsys, tmp_path):
     assert (other / "results.csv").exists()
 
 
+def test_grid_without_output_writes_ember_results(capsys, tmp_path, monkeypatch):
+    config = write_config(tmp_path, algorithms=["pso"], functions=["sphere"], seeds=[0])
+    mapping = json.loads(config.read_text())
+    del mapping["output"]
+    config.write_text(json.dumps(mapping))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, ["grid", str(config)])[0] == 0
+    assert (tmp_path / "ember_results" / "results.csv").exists()
+
+
 def test_grid_with_no_successful_cells_exits_one(capsys, tmp_path):
     # booth is not scalable, so at dimension 20 every cell is skipped
     config = write_config(tmp_path, functions=["booth"], dimensions=[20])

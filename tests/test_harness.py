@@ -132,6 +132,10 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(agent_counts=8)
     with pytest.raises(ConfigError, match="^algorithms must be a list of names"):
         tiny_grid(algorithms="pso")
+    with pytest.raises(ConfigError, match="^algorithms must be a list of names"):
+        tiny_grid(algorithms=(1,))
+    with pytest.raises(ConfigError, match="^dimensions must be a list of integers"):
+        tiny_grid(dimensions="20")
     with pytest.raises(ConfigError, match="^params must map"):
         tiny_grid(params={"pso": 1})
     # a repeated value would run two cells under one key
@@ -174,6 +178,8 @@ def test_grid_from_mapping_rejects_unknown_keys_with_paths():
         grid_from_mapping({"functions": {"pick": ["sphere"]}})
     with pytest.raises(ConfigError):
         grid_from_mapping({"functions": {"filter": ["no-such-tag"]}})
+    with pytest.raises(ConfigError, match="^functions.filter must be a list of tags$"):
+        grid_from_mapping({"functions": {"filter": "scalable"}})
 
 
 @pytest.mark.parametrize("algo,key,value", [

@@ -7,7 +7,7 @@ import pytest
 from ember import OptimizerSpec, domain_box, run_optimizer
 from ember.errors import EvaluationError
 from ember.functions import make_objective
-from ember.recording import Evaluator, drive
+from ember.recording import Evaluator, best_of, drive
 
 from oracles import path_length
 
@@ -91,6 +91,21 @@ def test_batched_wrong_shape_is_rejected():
     with pytest.raises(EvaluationError, match="shape"):
         run_optimizer(OptimizerSpec("pso", max_iter=1, num_agents=4), scalar,
                       domain_box("sphere", 2))
+
+
+# ---------------------------------------------------------------------------
+# the best-so-far rule
+
+
+def test_best_of_takes_a_strictly_lower_value_first_index_first():
+    rows = _rows(n=4, d=3)
+    fitness = np.array([2.0, 1.0, 1.0, 3.0])
+    agent, value = best_of(rows, fitness, None, 1.5)
+    assert type(value) is float and value == 1.0
+    assert agent.tobytes() == rows[1].tobytes() and not np.shares_memory(agent, rows)
+    kept = np.zeros(3)
+    agent, value = best_of(rows, fitness, kept, 1.0)  # a tie is no improvement
+    assert agent is kept and value == 1.0
 
 
 # ---------------------------------------------------------------------------
