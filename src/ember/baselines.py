@@ -170,9 +170,7 @@ def ffo_steps(spec, params, rng, evaluate, domain):
     threshold = params["perturbation_threshold"]
     conditions = params["use_additional_conditions"]
     n, d = spec.num_agents, domain.dimension
-    agents, _, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), evaluate
-    )
+    agents, _, best_agent, best_fitness = initial_population(rng, domain, n, evaluate)
     step_size = params["step_size"]
     counter = 0
     iteration = 1
@@ -216,8 +214,7 @@ def ffo_steps(spec, params, rng, evaluate, domain):
                 row += rng.normal(0.0, intensity, size=d) * (best_agent - row)
                 displaced = True
             if displaced:
-                np.maximum(row, domain.lower, out=row)
-                np.minimum(row, domain.upper, out=row)
+                row.clip(domain.lower, domain.upper, out=row)
             moved[i] = row
         step_size *= 0.98 if stagnant else 0.99
         yield moved, best_agent, best_fitness
@@ -234,9 +231,7 @@ def pso_steps(spec, params, rng, evaluate, domain):
     """
     w, c1, c2 = params["inertia"], params["cognitive"], params["social"]
     n, d = spec.num_agents, domain.dimension
-    positions, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), evaluate
-    )
+    positions, fitness, best_agent, best_fitness = initial_population(rng, domain, n, evaluate)
     velocities = np.zeros((n, d))
     personal_best = positions.copy()
     personal_fitness = fitness.copy()
@@ -270,8 +265,7 @@ def sa_steps(spec, params, rng, evaluate, domain):
     d = domain.dimension
     sigma = params["proposal_scale"] * (domain.upper - domain.lower)
     temperature = params["initial_temp"]
-    _, _, current, current_fitness = initial_population(rng, domain.lower, domain.upper,
-                                                        (1, d), evaluate)
+    _, _, current, current_fitness = initial_population(rng, domain, 1, evaluate)
     best_agent, best_fitness = current, current_fitness
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
@@ -311,9 +305,7 @@ def ga_steps(spec, params, rng, evaluate, domain):
     elitism = int(params["elitism"])
     n, d = spec.num_agents, domain.dimension
     sigma = params["mutation_scale"] * (domain.upper - domain.lower)
-    population, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), evaluate
-    )
+    population, fitness, best_agent, best_fitness = initial_population(rng, domain, n, evaluate)
     pairs = -(-(n - elitism) // 2)
     rows = np.arange(2 * pairs)
     columns = np.arange(d)
@@ -354,9 +346,7 @@ def hs_steps(spec, params, rng, evaluate, domain):
     par = params["pitch_adjustment_rate"]
     n, d = spec.num_agents, domain.dimension
     bandwidth = params["bandwidth_fraction"] * (domain.upper - domain.lower)
-    memory, fitness, best_agent, best_fitness = initial_population(
-        rng, domain.lower, domain.upper, (n, d), evaluate
-    )
+    memory, fitness, best_agent, best_fitness = initial_population(rng, domain, n, evaluate)
     yield None, best_agent, best_fitness
     for _ in range(spec.max_iter):
         harmony = np.empty(d)

@@ -4,7 +4,8 @@ A grid is the cartesian product of algorithms, functions, dimensions, agent
 counts, iteration budgets, and seed labels. Each cell is a :class:`RunRecord`
 named by its six axis values; :attr:`RunRecord.cell_key` is the one spelling
 of that name. Cells whose function does not carry the ``scalable`` tag are
-skipped at dimensions other than 2 (recorded, not silently dropped). Every
+skipped at dimensions other than 2, and so are cells at a dimension their
+function rejects (recorded, not silently dropped). Every
 other per-cell fact comes from the grid when the cell runs: its parameters,
 whether it keeps a history, and its RNG seed, derived from the grid master
 seed and the cell key, so any subset of a grid reproduces exactly.
@@ -168,7 +169,10 @@ def _bool(value) -> bool:
 
 
 def _path(value) -> str | None:
-    return None if value is None else os.fspath(value)
+    path = None if value is None else os.fspath(value)
+    if path is not None and not path:  # "" would write nothing, or into the working directory
+        raise ValueError
+    return path
 
 
 @dataclass(frozen=True)
@@ -252,16 +256,18 @@ def enumerate_cells(grid: ExperimentGrid) -> list[RunRecord]:
     High-dimensional regimes pair only with functions tagged scalable (the
     published experiment design; the direct API is less strict), so a cell
     whose function is not tagged scalable comes back already skipped at any
-    dimension other than 2.
+    dimension other than 2. So does a cell at a dimension its function rejects.
     """
     cells = []
     for axes in itertools.product(grid.algorithms, grid.functions, grid.dimensions,
                                   grid.agent_counts, grid.iteration_counts, grid.seeds):
         cell = RunRecord(*axes)
-        if cell.dimension != 2 and "scalable" not in get_function(cell.function).attributes:
-            cell.status = "skipped"
-            cell.message = (f"{cell.function} is not tagged scalable; "
-                            f"dimension {cell.dimension} skipped")
+        fn, d = get_function(cell.function), cell.dimension
+        if d != 2 and "scalable" not in fn.attributes:
+            cell.message = f"{fn.name} is not tagged scalable; dimension {d} skipped"
+        elif not fn.accepts_dimension(d):
+            cell.message = f"{fn.name} requires dimension >= {fn.dimensions[0]}, got {d}"
+        cell.status = "skipped" if cell.message else "ok"
         cells.append(cell)
     return cells
 
@@ -340,11 +346,13 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             # imported here: a serial grid, and ``import ember``, never load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=grid.jobs)
+            # fork starts every worker at the first submit, so start none that would idle
+            workers = max(1, min(grid.jobs, len(runnable)))
+            executor = ProcessPoolExecutor(max_workers=workers)
             stack.callback(executor.shutdown)
             # about 16 chunks per worker bound the wait on the slowest last chunk;
-            # a grid of fewer than 32 * jobs runnable cells still sends one cell per task
-            chunksize = max(1, len(runnable) // (16 * grid.jobs))
+            # a grid of fewer than 32 * workers runnable cells still sends one cell per task
+            chunksize = max(1, len(runnable) // (16 * workers))
             results = executor.map(execute, runnable, chunksize=chunksize)
         else:
             results = map(execute, runnable)

@@ -1,7 +1,8 @@
 """The run driver (:func:`drive`), which seeds each run's one generator and is
 the one routine that turns visited positions into ``total_distance``; run
-outcomes; and the :class:`Evaluator`, each run's one path to its objective,
-which checks and counts every evaluation and values a population in one call."""
+outcomes; the :class:`Evaluator`, each run's one path to its objective, which
+checks and counts every evaluation; and every optimizer's start,
+:func:`initial_population`, and best-so-far rule, :func:`best_of`."""
 
 from __future__ import annotations
 
@@ -66,11 +67,11 @@ def best_of(rows, fitness, best_agent, best_fitness):
     return best_agent, best_fitness
 
 
-def initial_population(rng, lower, upper, size, evaluate):
-    """Uniform rows of shape ``size`` and their values from the
-    :class:`Evaluator` ``evaluate``, with the best row and its value by
+def initial_population(rng, domain, count, evaluate):
+    """``count`` rows drawn uniformly from the box ``domain`` and their values
+    from the :class:`Evaluator` ``evaluate``, with the best row and its value by
     :func:`best_of`."""
-    rows = rng.uniform(lower, upper, size=size)
+    rows = rng.uniform(domain.lower, domain.upper, size=(count, domain.dimension))
     fitness = evaluate.rows(rows)
     return rows, fitness, *best_of(rows, fitness, None, math.inf)
 

@@ -427,6 +427,17 @@ def test_grid_bad_parameter_value_exits_two_before_any_cell(capsys, tmp_path, al
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_empty_out_exits_two_and_writes_nothing(capsys, tmp_path, tmp_path_factory,
+                                                     monkeypatch):
+    # an empty path would put summary.csv and rankings.json in the working directory
+    config = write_config(tmp_path_factory.mktemp("config"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, ["grid", str(config), "--out", ""])
+    assert code == 2
+    assert out == "" and err == "error: output must be a path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_out_naming_a_file_exits_two_before_any_cell(capsys, tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")

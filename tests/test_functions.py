@@ -518,5 +518,10 @@ def test_validate_registry_uniform_tolerance_override():
 
 
 def test_validate_registry_reports_skips():
+    import dataclasses
+
     rows = validate_registry(functions={"michalewicz": get_function("michalewicz")})
     assert all(row.status == "skipped" for row in rows)
+    rows = validate_registry(functions={"x": dataclasses.replace(get_function("sphere"),
+                                                                 minimum=None)})
+    assert [(row.status, row.detail) for row in rows] == [("skipped", "no published value")] * 3

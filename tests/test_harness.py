@@ -71,6 +71,15 @@ def test_skip_rule_spares_scalable_functions_only():
     assert ran_high and all(r.function == "sphere" for r in ran_high)
 
 
+def test_cells_at_a_dimension_their_function_rejects_are_skipped():
+    # easom is scalable from dimension 2 on, so at dimension 1 it cannot run
+    records = run_grid(tiny_grid(algorithms=("pso",), functions=("easom", "sphere"),
+                                 dimensions=(1,), seeds=(0,)))
+    assert [(r.function, r.status, r.message) for r in records] == [
+        ("easom", "skipped", "easom requires dimension >= 2, got 1"), ("sphere", "ok", ""),
+    ]
+
+
 def test_enumeration_order_is_row_major_over_the_config():
     cells = enumerate_cells(tiny_grid())
     first_eight = [(c.algorithm, c.function, c.dimension, c.seed) for c in cells[:8]]
@@ -138,6 +147,8 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(dimensions="20")
     with pytest.raises(ConfigError, match="^params must map"):
         tiny_grid(params={"pso": 1})
+    with pytest.raises(ConfigError, match="^output must be a path, got ''$"):
+        tiny_grid(output="")
     # a repeated value would run two cells under one key
     for name, value in [("algorithms", ("pso", "pso")), ("functions", ("sphere", "sphere")),
                         ("dimensions", (2, 2.0)), ("agent_counts", (4, 4)),
@@ -582,6 +593,27 @@ def test_failed_future_message_names_the_exception(monkeypatch):
     assert {r.message for r in records} == {
         "BrokenProcessPool: a child process terminated abruptly"
     }
+
+
+def test_pool_starts_no_more_workers_than_runnable_cells(monkeypatch):
+    # fork starts all max_workers processes at the first submit
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    records = run_grid(tiny_grid(jobs=4, algorithms=("pso",), functions=("sphere",),
+                                 dimensions=(2,)))
+    assert [r.status for r in records] == ["ok", "ok"]
+    assert asked == [2]
 
 
 def test_import_leaves_the_process_pool_unloaded():
