@@ -62,8 +62,8 @@ class OptimizerSpec:
             raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.num_agents < 1:
             raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}

@@ -95,8 +95,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"cannot write --out {out}: {exc}") from exc
         if out.is_dir():
             raise ConfigError(f"cannot write --out {out}: it is a directory")
-    cell = RunRecord(args.algo, args.fn, args.dim, args.agents, args.iters, args.seed)
-    record, outcome = run_cell(cell, params, args.seed)
+    record, outcome = run_cell(RunRecord(args.algo, args.fn, args.dim, args.agents, args.iters,
+                                         args.seed, derived_seed=args.seed), params)
     print(f"function: {record.function}")
     print(f"dimension: {record.dimension}")
     print(f"algorithm: {record.algorithm}")

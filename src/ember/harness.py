@@ -5,12 +5,12 @@ counts, iteration budgets, and seed labels. Each cell is a :class:`RunRecord`
 named by its six axis values; :attr:`RunRecord.cell_key` is the one spelling
 of that name. Cells whose function does not carry the ``scalable`` tag are
 skipped at dimensions other than 2, and so are cells at a dimension their
-function rejects (recorded, not silently dropped). Every
-other per-cell fact comes from the grid when the cell runs: its parameters,
-whether it keeps a history, and its RNG seed, derived from the grid master
-seed and the cell key, so any subset of a grid reproduces exactly.
-:func:`run_cell` is the one path from a cell to its metrics, for a grid cell
-and for ``ember run`` alike.
+function rejects (recorded, not silently dropped). Enumeration gives each
+cell its RNG seed, :attr:`RunRecord.derived_seed`, derived once from the grid
+master seed and the cell key, so any subset of a grid reproduces exactly; its
+parameters and history flag come from the grid when it runs. :func:`run_cell`
+is the one path from a cell to its metrics, for a grid cell and for
+``ember run`` alike.
 
 Results stream to ``<output>/results.csv`` in enumeration order with the
 fixed column set::
@@ -108,7 +108,7 @@ class RunRecord:
     """One grid cell and its outcome.
 
     Metric fields are None until the cell runs, and stay None for skips and
-    errors.
+    errors; ``derived_seed``, the run's RNG seed, is set by :func:`enumerate_cells`.
     """
 
     algorithm: str
@@ -125,6 +125,7 @@ class RunRecord:
     evaluations: int | None = None
     status: str = "ok"
     message: str = ""
+    derived_seed: int | None = None
 
     @property
     def cell_key(self) -> str:
@@ -170,7 +171,7 @@ def _bool(value) -> bool:
 
 def _path(value) -> str | None:
     path = None if value is None else os.fspath(value)
-    if path is not None and not path:  # "" would write nothing, or into the working directory
+    if path is not None and not (isinstance(path, str) and path):  # not bytes, not "" (the cwd)
         raise ValueError
     return path
 
@@ -251,7 +252,7 @@ class ExperimentGrid:
 
 
 def enumerate_cells(grid: ExperimentGrid) -> list[RunRecord]:
-    """All grid cells in deterministic enumeration order, as records to run.
+    """All grid cells in deterministic enumeration order, each with its derived seed.
 
     High-dimensional regimes pair only with functions tagged scalable (the
     published experiment design; the direct API is less strict), so a cell
@@ -262,6 +263,7 @@ def enumerate_cells(grid: ExperimentGrid) -> list[RunRecord]:
     for axes in itertools.product(grid.algorithms, grid.functions, grid.dimensions,
                                   grid.agent_counts, grid.iteration_counts, grid.seeds):
         cell = RunRecord(*axes)
+        cell.derived_seed = derive_cell_seed(grid.master_seed, cell.cell_key)
         fn, d = get_function(cell.function), cell.dimension
         if d != 2 and "scalable" not in fn.attributes:
             cell.message = f"{fn.name} is not tagged scalable; dimension {d} skipped"
@@ -276,13 +278,13 @@ def _failed(cell: RunRecord, exc: Exception) -> RunRecord:
     return replace(cell, status="error", message=f"{type(exc).__name__}: {exc}")
 
 
-def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOutcome]:
-    """Run ``cell``'s optimizer with ``params`` and RNG ``seed``: the record
-    filled in with its metrics and the run's outcome. Raises whatever the run
-    raises."""
+def run_cell(cell: RunRecord, params: dict) -> tuple[RunRecord, RunOutcome]:
+    """Run ``cell``'s optimizer with ``params``, seeded by ``cell.derived_seed``:
+    the record filled in with its metrics and the run's outcome. Raises
+    whatever the run raises."""
     objective = make_objective(cell.function, cell.dimension)
     domain = domain_box(cell.function, cell.dimension)
-    spec = OptimizerSpec(cell.algorithm, params, cell.max_iter, cell.agents, seed)
+    spec = OptimizerSpec(cell.algorithm, params, cell.max_iter, cell.agents, cell.derived_seed)
     outcome = run_optimizer(spec, objective, domain)
     speed = distance_per_unit_time(outcome.total_distance, outcome.execution_time)
     return replace(cell, best_fitness=outcome.best_fitness, execution_time=outcome.execution_time,
@@ -292,15 +294,14 @@ def run_cell(cell: RunRecord, params: dict, seed: int) -> tuple[RunRecord, RunOu
 
 
 def _execute_cell(grid: ExperimentGrid, cell: RunRecord) -> RunRecord:
-    """Run one cell with its parameters, derived seed and history flag from ``grid``.
+    """Run one cell with its parameters and history flag from ``grid``.
 
     A requested history is written to the cell's file under ``histories/`` here,
     in the process that ran the cell; a failed write makes it an error record,
     like any failure.
     """
     try:
-        seed = derive_cell_seed(grid.master_seed, cell.cell_key)
-        record, outcome = run_cell(cell, grid.params.get(cell.algorithm, {}), seed)
+        record, outcome = run_cell(cell, grid.params.get(cell.algorithm, {}))
         if grid.save_histories:
             export_history(outcome.fitness_history,
                            Path(grid.output, "histories", f"{cell.cell_key}.csv"))
@@ -371,8 +372,7 @@ def run_grid(grid: ExperimentGrid) -> list[RunRecord]:
             if writer is not None:
                 writer.writerow(record.csv_row())
                 handle.flush()
-                seed = derive_cell_seed(grid.master_seed, record.cell_key)
-                log.write(json.dumps({"key": record.cell_key, "derived_seed": seed,
+                log.write(json.dumps({"key": record.cell_key, "derived_seed": record.derived_seed,
                                       "status": record.status, "message": record.message,
                                       "evaluations": record.evaluations}) + "\n")
                 log.flush()

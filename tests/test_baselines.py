@@ -52,6 +52,9 @@ def test_spec_validation():
         OptimizerSpec(name="ffo", num_agents=0)
     with pytest.raises(ConfigError):
         OptimizerSpec(name="ffo", seed=-1)
+    # e.g. run_cell on a RunRecord built without its derived_seed
+    with pytest.raises(ConfigError, match="^seed must be a non-negative integer, got None$"):
+        OptimizerSpec(name="pso", seed=None)
 
 
 def test_unknown_optimizer_rejected():

@@ -16,7 +16,6 @@ import ember.functions as functions
 import ember.harness as harness
 from ember.cli import main
 from ember.functions import get_function
-from ember.harness import derive_cell_seed
 from ember.recording import RunOutcome
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -449,12 +448,13 @@ def test_grid_out_naming_a_file_exits_two_before_any_cell(capsys, tmp_path, monk
     assert calls == []
 
 
-def test_run_reproduces_every_grid_row(capsys, tmp_path):
-    # ember run and a grid cell share one pipeline: with the cell's derived
-    # seed, a run prints the row's metrics and writes the same history file
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_reproduces_every_grid_row(capsys, tmp_path, jobs):
+    # ember run and a grid cell share one pipeline: with the derived seed that
+    # cells.jsonl logs, a run prints the row's metrics and writes the same history file
     config = write_config(tmp_path, algorithms=["ffo", "pso", "sa", "ga", "hs"],
                           functions=["sphere", "goldstein_price"], agent_counts=[6],
-                          iteration_counts=[15], master_seed=3, save_histories=True)
+                          iteration_counts=[15], master_seed=3, save_histories=True, jobs=jobs)
     assert run_cli(capsys, ["grid", str(config)])[0] == 0
     out_dir = tmp_path / "out"
     with (out_dir / "results.csv").open() as fh:
@@ -468,7 +468,7 @@ def test_run_reproduces_every_grid_row(capsys, tmp_path):
         code, out, _ = run_cli(capsys, [
             "run", "--algo", row["algorithm"], "--fn", row["function"],
             "--dim", row["dimension"], "--agents", row["agents"], "--iters", row["max_iter"],
-            "--seed", str(derive_cell_seed(3, key)), "--out", str(history),
+            "--seed", str(cell["derived_seed"]), "--out", str(history),
         ])
         assert code == 0, key
         for column in ("best_fitness", "total_distance", "iterations_run"):

@@ -89,6 +89,9 @@ def test_enumeration_order_is_row_major_over_the_config():
         ("pso", "booth", 2, 0), ("pso", "booth", 2, 1),
         ("pso", "booth", 20, 0), ("pso", "booth", 20, 1),
     ]
+    # each cell, skipped ones (booth at d = 20) too, carries the seed its run
+    # uses and cells.jsonl writes
+    assert [c.derived_seed for c in cells] == [derive_cell_seed(0, c.cell_key) for c in cells]
 
 
 def test_cell_seed_derivation_is_frozen():
@@ -149,6 +152,8 @@ def test_grid_rejects_unknown_names_and_empty_axes():
         tiny_grid(params={"pso": 1})
     with pytest.raises(ConfigError, match="^output must be a path, got ''$"):
         tiny_grid(output="")
+    with pytest.raises(ConfigError, match="^output must be a path, got b'out'$"):
+        tiny_grid(output=b"out")
     # a repeated value would run two cells under one key
     for name, value in [("algorithms", ("pso", "pso")), ("functions", ("sphere", "sphere")),
                         ("dimensions", (2, 2.0)), ("agent_counts", (4, 4)),
@@ -274,9 +279,8 @@ def test_output_grid_keeps_each_history_in_its_file_only(tmp_path, jobs):
     assert sorted(p.name for p in (tmp_path / "out" / "histories").iterdir()) == sorted(
         f"{r.cell_key}.csv" for r in ok)
     for record in ok:
-        # the history of the same run, through the one cell pipeline
-        seed = derive_cell_seed(grid.master_seed, record.cell_key)
-        _, outcome = harness.run_cell(record, {}, seed)
+        # the history of the same run, through the one cell pipeline, with the record's own seed
+        _, outcome = harness.run_cell(record, {})
         path = tmp_path / "out" / "histories" / f"{record.cell_key}.csv"
         assert _history_file(path) == outcome.fitness_history
 
@@ -341,8 +345,7 @@ def test_execute_cell_writes_its_history_and_returns_none(tmp_path):
     # the process that runs a cell writes its history, so none crosses to the parent
     grid = tiny_grid(save_histories=True, output=str(tmp_path))
     cell = enumerate_cells(grid)[0]
-    seed = derive_cell_seed(grid.master_seed, cell.cell_key)
-    reference, outcome = harness.run_cell(cell, {}, seed)
+    reference, outcome = harness.run_cell(cell, {})
     record = harness._execute_cell(grid, cell)
     assert record.status == "ok" and not hasattr(record, "history")
     for name in ("best_fitness", "total_distance", "iterations_run", "evaluations"):
