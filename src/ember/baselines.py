@@ -2,11 +2,14 @@
 
 Five step generators, FFO and four classic algorithms (particle swarm,
 simulated annealing, a real-coded genetic algorithm, harmony search), and one
-way to run them: :func:`run_optimizer` with an :class:`OptimizerSpec`. It looks
-the spec's name up in one table, whose row for each optimizer holds its step
-generator and its parameter table, resolves the parameters and hands both to
-:func:`~ember.recording.drive`. The driver gives the step generator the run's
-one random generator, seeded by the spec, and an
+way to run them: :func:`run_optimizer` with an :class:`OptimizerSpec`. The spec
+checks its fields when it is built, as a grid does: the name must be in the one
+table whose row for each optimizer holds its step generator and its parameter
+table, and ``max_iter``, ``num_agents`` and ``seed`` exact integers
+(:func:`~ember.functions.exact_int`) of at least 0 (1 for FFO), 1 and 0.
+:func:`run_optimizer` hands the step generator and the resolved parameters to
+:func:`~ember.recording.drive`, which gives the step generator the run's one
+random generator, seeded by the spec, and an
 :class:`~ember.recording.Evaluator` for its objective, times it, keeps its
 history and path length, and returns a :class:`~ember.recording.RunOutcome`.
 Every step generator ``(spec, params, rng, evaluate, domain)`` draws all its
@@ -19,10 +22,6 @@ also compares with an absolute ``target_fitness``).
 :func:`resolve_params` checks parameter values for runs and for the grid,
 and :func:`acceptance_probability` is the annealing rule of SA and of FFO's
 local search. FFO's and GA's docstrings state the order of their draws.
-
-Parameter defaults follow the usual literature settings; anything not pinned
-by convention (proposal widths, mutation scale) is expressed as a fraction of
-the domain width and exposed as a named parameter.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .functions import DomainBox
+from .functions import DomainBox, exact_int
 from .recording import RunOutcome, best_of, drive, initial_population
 
 __all__ = [
@@ -49,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Which optimizer to run, with what parameters and budget."""
+    """Which optimizer to run, with what parameters and budget, checked when built."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -58,12 +57,17 @@ class OptimizerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.num_agents < 1:
-            raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.name not in _OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.name!r}; "
+                              f"available: {', '.join(optimizer_names())}")
+        for key, floor in (("max_iter", int(self.name == "ffo")), ("num_agents", 1), ("seed", 0)):
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, exact_int(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}") from None
+            if getattr(self, key) < floor:
+                raise ConfigError(f"{key} must be >= {floor}, got {value}")
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
@@ -163,8 +167,6 @@ def ffo_steps(spec, params, rng, evaluate, domain):
     ``use_additional_conditions`` the loop also stops once the counter exceeds
     no_improve_limit or the best value falls below target_fitness.
     """
-    if spec.max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {spec.max_iter}")
     crossover_probability = params["crossover_probability"]
     mutation_probability = params["mutation_probability"]
     threshold = params["perturbation_threshold"]
@@ -370,10 +372,11 @@ def hs_steps(spec, params, rng, evaluate, domain):
     return spec.max_iter
 
 
-# Each optimizer's step generator and its parameters as name: (default,
-# interval it must lie in, or None). Besides, every number must be finite, a
-# parameter whose default is an int must be an exact integer, and a boolean is
-# not a number. GA's elitism is also capped by the population.
+# Each optimizer's step generator and its parameters as name: (default from
+# the usual literature settings, interval it must lie in, or None). Besides,
+# every number must be finite, a parameter whose default is an int must be an
+# exact integer, and a boolean is not a number. GA's elitism is also capped by
+# the population.
 _OPTIMIZERS: dict[str, tuple] = {
     "ffo": (ffo_steps, {
         "no_improve_limit": (30, "[1, inf)"),
@@ -423,11 +426,6 @@ def optimizer_names() -> list[str]:
 def run_optimizer(spec: OptimizerSpec, objective, domain: DomainBox) -> RunOutcome:
     """Run the optimizer named by the spec: resolve its parameters, then
     :func:`~ember.recording.drive` its step generator."""
-    try:
-        steps, _ = _OPTIMIZERS[spec.name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown optimizer {spec.name!r}; available: {', '.join(optimizer_names())}"
-        ) from None
+    steps, _ = _OPTIMIZERS[spec.name]
     params = resolve_params(spec.name, spec.params, spec.num_agents)
     return drive(steps, spec, params, objective, domain)

@@ -126,18 +126,15 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     grid = grid_from_mapping(mapping)
 
+    overrides = {"output": grid.output or "ember_results" if args.out is None else args.out,
+                 "jobs": grid.jobs if args.jobs is None else args.jobs}
     env_seed = os.environ.get("EMBER_SEED")
     if env_seed is not None:
         try:
-            grid = replace(grid, master_seed=int(env_seed))
+            overrides["master_seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"EMBER_SEED must be an integer, got {env_seed!r}") from exc
-    if args.jobs is not None:
-        grid = replace(grid, jobs=args.jobs)
-    if args.out is not None:
-        grid = replace(grid, output=args.out)
-    if grid.output is None:
-        grid = replace(grid, output="ember_results")
+    grid = replace(grid, **overrides)  # checks the grid again, with every override at once
 
     records = run_grid(grid)
     out_dir = Path(grid.output)

@@ -27,6 +27,7 @@ cyclic composition F(x) = sum_i f2(x_i, x_{i+1 mod n}) at n > 2.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +49,22 @@ __all__ = [
     "validate_registry",
 ]
 
+
+def exact_int(value) -> int:
+    """``value`` as an int. A bool or a number with a fraction raises ValueError."""
+    number = int(value)
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, numbers.Real) and number != value:
+        raise ValueError
+    return number
+
+
+def _dimension(n) -> int:
+    try:
+        return exact_int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionError(f"dimension must be an integer, got {n!r}") from None
+
+
 @dataclass(frozen=True)
 class DomainBox:
     """A hypercube search region: the same [lower, upper] on every coordinate."""
@@ -61,6 +78,7 @@ class DomainBox:
             raise InputError("domain bounds must be finite")
         if self.lower >= self.upper:
             raise InputError(f"domain lower bound {self.lower} must be below upper bound {self.upper}")
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         if self.dimension < 1:
             raise DimensionError(f"dimension must be at least 1, got {self.dimension}")
 
@@ -465,9 +483,10 @@ def list_functions(tags=None) -> list[BenchmarkFunction]:
     return functions
 
 
-def _check_dimension(fn: BenchmarkFunction, n: int) -> None:
+def _check_dimension(fn: BenchmarkFunction, n) -> int:
+    n = _dimension(n)
     if fn.accepts_dimension(n):
-        return
+        return n
     if fn.dimensions == N_IS_2:
         raise DimensionError(f"{fn.name} is a fixed two-dimensional function, got dimension {n}")
     raise DimensionError(f"{fn.name} requires dimension >= {fn.dimensions[0]}, got {n}")
@@ -500,8 +519,7 @@ def make_objective(name: str, dimension: int) -> Callable[[np.ndarray], float]:
 def domain_box(name: str, dimension: int) -> DomainBox:
     """The search region for a function at the requested dimension."""
     fn = get_function(name)
-    _check_dimension(fn, dimension)
-    return DomainBox(fn.domain[0], fn.domain[1], dimension)
+    return DomainBox(fn.domain[0], fn.domain[1], _check_dimension(fn, dimension))
 
 
 def known_minimum(name: str, dimension: int) -> tuple[float | None, list[np.ndarray]]:
@@ -512,8 +530,8 @@ def known_minimum(name: str, dimension: int) -> tuple[float | None, list[np.ndar
     dimensions). The minimizer list may be empty independently of the value.
     """
     fn = get_function(name)
-    _check_dimension(fn, dimension)
-    return fn.min_value(dimension), fn.minimizers(dimension)
+    n = _check_dimension(fn, dimension)
+    return fn.min_value(n), fn.minimizers(n)
 
 
 @dataclass(frozen=True)

@@ -44,16 +44,14 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import OptimizerSpec, optimizer_names, resolve_params, run_optimizer
 from .errors import ConfigError, MetricError
-from .functions import domain_box, get_function, known_minimum, list_functions, make_objective
+from .functions import (domain_box, exact_int, get_function, known_minimum, list_functions,
+                        make_objective)
 from .recording import RunOutcome
 
 __all__ = [
@@ -147,20 +145,10 @@ def _names(values) -> tuple[str, ...]:
     return names
 
 
-def _int(value) -> int:
-    # exact conversions only: a bool or a dropped fraction would run another grid
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError
-    number = int(value)
-    if isinstance(value, numbers.Real) and number != value:
-        raise ValueError
-    return number
-
-
 def _ints(values) -> tuple[int, ...]:
     if isinstance(values, (str, dict)):
         raise TypeError
-    return tuple(_int(v) for v in values)
+    return tuple(exact_int(v) for v in values)
 
 
 def _bool(value) -> bool:
@@ -183,11 +171,10 @@ class ExperimentGrid:
     This is the only grid schema: :func:`grid_from_mapping` passes a config
     file's keys straight to it. ``algorithms`` and ``functions`` default to
     every optimizer and every registry function. ``__post_init__`` converts
-    each value to its field's type and checks it. Conversions are exact: an
-    integer field takes no boolean and no number with a fraction, and
-    ``save_histories`` takes only a boolean. No axis may repeat a value, so
-    every cell key is unique. A value that is rejected raises
-    :class:`ConfigError` starting with the field name.
+    each value to its field's type and checks it: integers exactly, by
+    :func:`~ember.functions.exact_int`, and ``save_histories`` only from a
+    boolean. No axis may repeat a value, so every cell key is unique. A value
+    that is rejected raises :class:`ConfigError` starting with the field name.
     """
 
     algorithms: tuple[str, ...] = field(default_factory=lambda: tuple(optimizer_names()))
@@ -212,10 +199,10 @@ class ExperimentGrid:
             ("agent_counts", _ints, "a list of integers", 1),
             ("iteration_counts", _ints, "a list of integers", 1),
             ("seeds", _ints, "a list of integers", 0),
-            ("master_seed", _int, "an integer", None),
+            ("master_seed", exact_int, "an integer", None),
             ("output", _path, "a path", None),
             ("save_histories", _bool, "a boolean", None),
-            ("jobs", _int, "an integer", 1),
+            ("jobs", exact_int, "an integer", 1),
         ):
             value = getattr(self, name)
             try:

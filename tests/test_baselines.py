@@ -55,12 +55,27 @@ def test_spec_validation():
     # e.g. run_cell on a RunRecord built without its derived_seed
     with pytest.raises(ConfigError, match="^seed must be a non-negative integer, got None$"):
         OptimizerSpec(name="pso", seed=None)
+    with pytest.raises(ConfigError, match="^max_iter must be >= 1, got 0$"):
+        OptimizerSpec(name="ffo", max_iter=0)
+    # exact integers only, as in a grid: a fraction is not dropped and a
+    # boolean is not a number, so none of these reaches a run
+    for name, field, value in [("ffo", "max_iter", 2.5), ("sa", "max_iter", 2.5),
+                               ("pso", "max_iter", True), ("pso", "num_agents", 2.5),
+                               ("pso", "num_agents", True), ("pso", "seed", True),
+                               ("pso", "max_iter", "many")]:
+        with pytest.raises(ConfigError, match=f"^{field} must be a non-negative integer, got"):
+            OptimizerSpec(name=name, **{field: value})
+    spec = OptimizerSpec(name="pso", max_iter=3.0, num_agents=2.0, seed=np.int64(5))
+    assert (spec.max_iter, spec.num_agents, spec.seed) == (3, 2, 5)
+    assert all(type(v) is int for v in (spec.max_iter, spec.num_agents, spec.seed))
+    assert run_optimizer(spec, sphere, BOX).iterations_run == 3
 
 
 def test_unknown_optimizer_rejected():
+    # at construction, before any objective or domain is in sight
     with pytest.raises(ConfigError) as exc:
-        run_optimizer(OptimizerSpec(name="cuckoo"), sphere, BOX)
-    assert "ffo" in str(exc.value)
+        OptimizerSpec(name="cuckoo")
+    assert str(exc.value) == "unknown optimizer 'cuckoo'; available: ffo, ga, hs, pso, sa"
 
 
 def test_unknown_parameter_rejected_with_valid_names():

@@ -345,6 +345,30 @@ def test_grid_without_output_writes_ember_results(capsys, tmp_path, monkeypatch)
     assert (tmp_path / "ember_results" / "results.csv").exists()
 
 
+def test_grid_applies_env_seed_jobs_and_default_output_together(capsys, tmp_path, monkeypatch):
+    # every override at once, on a config without an output
+    config = write_config(tmp_path)
+    mapping = json.loads(config.read_text())
+    del mapping["output"]
+    config.write_text(json.dumps(mapping))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EMBER_SEED", "7")
+    grids = []
+
+    def recording_run_grid(grid):
+        grids.append(grid)
+        return harness.run_grid(grid)
+
+    monkeypatch.setattr(cli, "run_grid", recording_run_grid)
+    assert run_cli(capsys, ["grid", str(config), "--jobs", "2"])[0] == 0
+    [grid] = grids
+    assert (grid.output, grid.jobs, grid.master_seed) == ("ember_results", 2, 7)
+    lines = (tmp_path / "ember_results" / "cells.jsonl").read_text().splitlines()
+    cells = [json.loads(line) for line in lines]
+    assert len(cells) == 8
+    assert all(c["derived_seed"] == harness.derive_cell_seed(7, c["key"]) for c in cells)
+
+
 def test_grid_with_no_successful_cells_exits_one(capsys, tmp_path):
     # booth is not scalable, so at dimension 20 every cell is skipped
     config = write_config(tmp_path, functions=["booth"], dimensions=[20])

@@ -126,7 +126,7 @@ def test_perturbation_intensity_grows_past_threshold():
 ])
 def test_config_validation_rejects(overrides):
     # each setting FFO cannot run with is refused on the way in, by
-    # OptimizerSpec, DomainBox, resolve_params or ffo_steps
+    # OptimizerSpec, DomainBox or resolve_params
     with pytest.raises(ConfigError):
         ffo_run(**overrides)
 

@@ -106,6 +106,16 @@ def test_dimension_error_messages_are_pinned():
             with pytest.raises(DimensionError) as exc:
                 check(name, n)
             assert str(exc.value) == message
+    # a dimension is an exact integer: no fraction is dropped, a boolean is not one
+    for n in (2.5, np.float64(3.5), True, np.True_, "two", None):
+        for check in (make_objective, domain_box, known_minimum,
+                      lambda name, n: DomainBox(-1.0, 1.0, n)):
+            with pytest.raises(DimensionError) as exc:
+                check("sphere", n)
+            assert str(exc.value) == f"dimension must be an integer, got {n!r}"
+    box = domain_box("sphere", 2.0)
+    assert box.dimension == 2 and type(box.dimension) is int
+    assert known_minimum("sphere", np.int64(3))[1][0].shape == (3,)
 
 
 def test_unknown_function_error_names_candidates():

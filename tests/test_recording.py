@@ -164,7 +164,7 @@ def _total_distance(groups, d, overwrite):
                 moved[...] = np.nan
         return len(groups)
 
-    return drive(steps, OptimizerSpec("path"), {}, None, None).total_distance
+    return drive(steps, OptimizerSpec("pso"), {}, None, None).total_distance
 
 
 @pytest.mark.parametrize("overwrite", [True, False])
